@@ -55,7 +55,8 @@ def build_parser() -> _Parser:
     _add_family_flags(p)
     _add_common_flags(p, sizes=None)
 
-    p = sub.add_parser("functional", help="evaluate the rescaled sum on one sampled tree")
+    p = sub.add_parser("functional", help="moment row (mean, stderr, theory) of the rescaled sum "
+                                          "over two sampled trees; --R is ignored")
     _add_family_flags(p)
     _add_common_flags(p, sizes=None)
     p.add_argument("--alpha-prime", type=float, default=1.0)

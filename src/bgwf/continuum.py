@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sampler import range_max
+
 DEFAULT_LEVELS = 1024
 
 
@@ -119,37 +121,14 @@ def components_above(exc: Excursion, r: float) -> list[LevelComponent]:
     return comps
 
 
-def _sparse_max_table(v: np.ndarray):
-    n = len(v)
-    table = [v]
-    span = 1
-    while 2 * span <= n:
-        prev = table[-1]
-        table.append(np.maximum(prev[: len(prev) - span], prev[span:]))
-        span *= 2
-    return table
-
-
-def _range_max(table, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    # inclusive range maximum per pair, O(1) each after O(m log m) build
-    length = right - left + 1
-    j = np.fmax(0, np.floor(np.log2(length)).astype(np.int64))
-    out = np.empty(len(left))
-    for jj in np.unique(j):
-        sel = j == jj
-        t = table[jj]
-        span = 1 << int(jj)
-        out[sel] = np.maximum(t[left[sel]], t[right[sel] - span + 1])
-    return out
-
-
 def level_decomposition(exc: Excursion, levels: int = DEFAULT_LEVELS):
     """All (duration, height, level) triples over a midpoint level grid.
 
     Each grid edge contributes one crossing per level it straddles; crossings
     sorted by (level, time) alternate up/down and pair into components, and
-    component peaks come from a sparse range-max table.  Work is
-    O(m log m + C) with C the total crossing count (at most m per level).
+    component peaks come from a sparse range-max table (``range_max``).
+    Work is O(m log m + C) with C the total crossing count (at most m per
+    level).
     Returns (durations, heights, level_values, dr); None on the measure-zero
     event that a grid value ties a level exactly (callers fall back to the
     per-level scan).
@@ -170,25 +149,24 @@ def level_decomposition(exc: Excursion, levels: int = DEFAULT_LEVELS):
     total = int(counts.sum())
     if total == 0:
         return np.zeros(0), np.zeros(0), np.zeros(0), dr
+    # crossings in edge order: edge e crosses levels kmin[e] .. kmax[e]
     edge = np.repeat(np.arange(m), counts)
-    offs = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    ks = np.repeat(kmin, counts) + offs
-    rs = (ks + 0.5) * dr
-    slope = v[edge + 1] - v[edge]
-    t = edge + (rs - v[edge]) / slope
-    order = np.lexsort((t, ks))
+    ks = np.arange(total) + np.repeat(kmin - (np.cumsum(counts) - counts), counts)
+    # within a level, edge order is time order, so a stable sort on the level
+    # alone sorts the crossings by (level, time); numpy's stable sort is a
+    # radix sort on keys of 16 bits or less
+    order = np.argsort(ks.astype(np.min_scalar_type(levels)), kind="stable")
     ks_s = ks[order]
-    t_s = t[order]
-    up_s = slope[order] > 0
+    edge_s = edge[order]
+    slope = np.diff(v)[edge_s]
+    up_s = slope > 0
     if total % 2 or not up_s[0::2].all() or up_s[1::2].any() or (ks_s[0::2] != ks_s[1::2]).any():
         return None
-    t_up = t_s[0::2]
-    t_dn = t_s[1::2]
-    dur = (t_dn - t_up) * dt
-    left = np.floor(t_up).astype(np.int64) + 1
-    right = np.floor(t_dn).astype(np.int64)
-    table = _sparse_max_table(v)
-    peak = _range_max(table, left, right)
+    t_s = edge_s + ((ks_s + 0.5) * dr - v[edge_s]) / slope
+    dur = (t_s[1::2] - t_s[0::2]) * dt
+    # the grid points above the level run from the up edge's right end to the
+    # down edge's left end
+    peak = range_max(v, edge_s[0::2] + 1, edge_s[1::2] + 1)
     r_vals = (ks_s[0::2] + 0.5) * dr
     return dur, peak - r_vals, r_vals, dr
 
@@ -206,7 +184,8 @@ def sweep_from_decomposition(decomp, toll) -> float:
             f"toll not finite at level r={r_vals[i]:g} on a component of "
             f"duration {dur[i]:g} and height {height[i]:g}"
         )
-    return dr * float(np.dot(dur, f_vals))
+    # a plain reduction: np.dot would start OpenBLAS's thread pool, which spins
+    return dr * float((dur * f_vals).sum())
 
 
 def psi_level_sweep(exc: Excursion, toll, levels: int = DEFAULT_LEVELS) -> float:
@@ -232,5 +211,5 @@ def _psi_sweep_reference(exc: Excursion, toll, levels: int) -> float:
             f_vals = np.asarray(toll(durs, heights), dtype=float)
         if not np.isfinite(f_vals).all():
             raise ValueError(f"toll not finite at level r={r:g}")
-        acc += float(np.dot(durs, f_vals))
+        acc += float((durs * f_vals).sum())
     return dr * acc

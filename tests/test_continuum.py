@@ -8,6 +8,7 @@ from conftest import rng_for
 from bgwf.continuum import (
     Excursion,
     components_above,
+    level_decomposition,
     psi_level_sweep,
     sample_excursion,
 )
@@ -64,6 +65,38 @@ def test_sweep_matches_reference_implementation():
             fast = psi_level_sweep(exc, toll, 64)
             slow = naive_sweep(exc, toll, 64)
             assert fast == pytest.approx(slow, rel=1e-10)
+
+
+def lexsort_decomposition(exc, levels):
+    """Reference: crossings sorted by (level, time) with lexsort, peaks by max()."""
+    v, dt = exc.values, exc.dt
+    dr = exc.max / levels
+    ks, ts, ups = [], [], []
+    for e in range(exc.m):
+        lo, hi = sorted((v[e], v[e + 1]))
+        kmin = max(math.floor(lo / dr - 0.5) + 1, 0)
+        kmax = min(math.ceil(hi / dr - 0.5) - 1, levels - 1)
+        for k in range(kmin, kmax + 1):
+            ks.append(k)
+            ts.append(e + ((k + 0.5) * dr - v[e]) / (v[e + 1] - v[e]))
+            ups.append(v[e + 1] > v[e])
+    order = np.lexsort((ts, ks))
+    ks, ts, ups = np.array(ks)[order], np.array(ts)[order], np.array(ups)[order]
+    assert ups[0::2].all() and not ups[1::2].any()
+    t_up, t_dn = ts[0::2], ts[1::2]
+    peak = [v[math.floor(a) + 1:math.floor(b) + 1].max() for a, b in zip(t_up, t_dn)]
+    r_vals = (ks[0::2] + 0.5) * dr
+    return (t_dn - t_up) * dt, np.array(peak) - r_vals, r_vals, dr
+
+
+def test_decomposition_equals_lexsort_reference():
+    rng = rng_for(7, 0)
+    for m, levels in ((300, 64), (1000, 256), (2000, 1024)):
+        exc = sample_excursion(m, rng)
+        got, want = level_decomposition(exc, levels), lexsort_decomposition(exc, levels)
+        for g, w in zip(got[:3], want[:3]):
+            np.testing.assert_array_equal(g, w)
+        assert got[3] == want[3]
 
 
 def test_excursion_endpoints_and_positivity():

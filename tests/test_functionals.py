@@ -5,6 +5,7 @@ import pytest
 
 from bgwf.functionals import (
     TollFunction,
+    _exact_sum,
     a_measure,
     additive_functional,
     b1_index,
@@ -25,6 +26,19 @@ def test_additive_functional_examples():
     assert additive_functional(cherry, lambda s, h: s.astype(float)) == 5.0
     path = build_and_annotate(PATH3)
     assert additive_functional(path, lambda s, h: s.astype(float)) == 6.0
+
+
+def test_exact_sum_equals_fsum_bit_for_bit():
+    rng = np.random.default_rng(5)
+    sizes = rng.integers(1, 10_001, 5000).astype(float)
+    cases = [
+        sizes, sizes * sizes, np.sqrt(sizes), -sizes, np.zeros(0), np.array([-0.0]),
+        # integer-valued, but partial sums past 2^53 round: fsum must be used
+        np.array([2.0**53, 1.0, 1.0, -(2.0**53)]), np.array([1e16, 1.0, -1e16]),
+        np.array([np.inf, 1.0]), np.array([np.nan, 1.0]),
+    ]
+    for terms in cases:
+        assert _exact_sum(terms).hex() == math.fsum(terms.tolist()).hex()
 
 
 def test_additive_functional_nonfinite_error():

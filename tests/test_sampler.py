@@ -3,15 +3,20 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 from conftest import enumerate_tree_law, rng_for
 
 from bgwf.offspring import catalan_model, geometric_model, make_stable_family
 from bgwf.sampler import (
+    ANNOTATE_NUMPY_MIN,
     BudgetExhausted,
+    _annotate_loop,
+    _annotate_lukasiewicz,
     build_and_annotate,
     cycle_rotate,
+    range_max,
     sample_conditioned,
     sample_degree_sequence,
 )
@@ -113,6 +118,56 @@ def test_build_rejects_invalid_sequences():
         build_and_annotate(np.array([1, 1, 1]))  # never closes
 
 
+@pytest.mark.parametrize("annotate", [_annotate_loop, _annotate_lukasiewicz, build_and_annotate])
+def test_both_annotation_paths_reject_invalid_sequences(annotate):
+    big = ANNOTATE_NUMPY_MIN + 40
+    invalid = [
+        [0, 2, 0],  # hits -1 too early
+        [1, 1, 1],  # never closes
+        [0, 2] + [1] * (big - 3) + [0],
+        [1] * big,
+        # degree sum n-1 and a path that stays >= 0, but one degree is negative
+        [4, -1, 1, 0, 0],
+        [big, -1] + [0] * (big - 2),
+    ]
+    for degrees in invalid:
+        with pytest.raises(ValueError):
+            annotate(np.array(degrees, dtype=np.int64))
+
+
+@st.composite
+def valid_degree_sequences(draw):
+    # every multiset of n nonnegative degrees summing to n-1 is the bincount
+    # of n-1 choices among n vertices; the cycle lemma rotation makes it valid
+    n = draw(st.integers(1, 400))
+    slots = draw(st.lists(st.integers(0, n - 1), min_size=n - 1, max_size=n - 1))
+    degrees = np.bincount(np.array(slots, dtype=np.int64), minlength=n)
+    r = cycle_rotate(degrees)
+    return np.concatenate((degrees[r:], degrees[:r]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_degree_sequences())
+def test_lukasiewicz_annotation_equals_loop(degrees):
+    # rows: parent, subtree size, subtree height, depth
+    np.testing.assert_array_equal(_annotate_lukasiewicz(degrees), _annotate_loop(degrees))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_range_max_matches_brute_force(data):
+    values = np.array(data.draw(st.lists(st.integers(-50, 50), min_size=1, max_size=300)))
+    m = len(values)
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(1, m)).map(sorted)
+                               .filter(lambda p: p[0] < p[1]), min_size=1, max_size=40))
+    pairs += [(0, m), (m - 1, m), (0, 1)]  # whole array and length-1 windows
+    starts, stops = np.array(pairs).T
+    want = [values[s:t].max() for s, t in pairs]
+    np.testing.assert_array_equal(range_max(values, starts, stops), want)
+    floats = values + 0.5
+    np.testing.assert_array_equal(range_max(floats, starts, stops), np.array(want) + 0.5)
+
+
 def test_structural_invariants_on_samples(rng):
     for model in (catalan_model(), geometric_model(), make_stable_family(1.5, 0.5)):
         for _ in range(50):
@@ -155,8 +210,8 @@ def test_geometric3_split(rng):
     law = enumerate_tree_law(geometric_model(), 3)
     assert law[(1, 1, 0)] == pytest.approx(0.5, abs=1e-12)
     assert law[(2, 0, 0)] == pytest.approx(0.5, abs=1e-12)
-    hits = sum(tuple(sample_conditioned(geometric_model(), 3, rng).degree) == (1, 1, 0)
-               for _ in range(4000))
+    geo = geometric_model()
+    hits = sum(tuple(sample_conditioned(geo, 3, rng).degree) == (1, 1, 0) for _ in range(4000))
     assert abs(hits / 4000 - 0.5) < 0.03
 
 
