@@ -19,8 +19,6 @@ from .sampler import AnnotatedTree
 
 POWER = "power"
 POWER_LOG = "power-log"
-INVERSE_HEIGHT = "inverse-height"
-INDICATOR = "indicator-internal"
 CUSTOM = "custom"
 
 
@@ -68,21 +66,13 @@ class TollFunction:
         return cls(POWER_LOG, alpha, 0.0, None, f"|log x|*x^{alpha:g}")
 
     @classmethod
-    def inverse_height(cls) -> "TollFunction":
-        return cls(INVERSE_HEIGHT, 0.0, -1.0, None, "1/u")
-
-    @classmethod
-    def indicator_internal(cls) -> "TollFunction":
-        return cls(INDICATOR, None, None, None, "1{size>1}")
-
-    @classmethod
     def custom(cls, fn: Callable, label: str = "custom") -> "TollFunction":
         return cls(CUSTOM, None, None, fn, label)
 
     @property
     def exponents(self) -> tuple[float, float] | None:
         """(alpha, beta) when the toll is the plain power family, else None."""
-        if self.kind in (POWER, INVERSE_HEIGHT):
+        if self.kind == POWER:
             return (self.alpha, self.beta)
         return None
 
@@ -103,12 +93,6 @@ class TollFunction:
         if self.kind == POWER_LOG:
             with np.errstate(divide="ignore"):
                 return np.abs(np.log(x)) * _pow(x, self.alpha)
-        if self.kind == INVERSE_HEIGHT:
-            with np.errstate(divide="ignore"):
-                return 1.0 / u
-        if self.kind == INDICATOR:
-            # on a discrete tree: subtree height > 0 iff size > 1
-            return (u > 0).astype(float)
         return np.asarray(self.fn(x, u), dtype=float)
 
 

@@ -383,25 +383,30 @@ def llt_cost(n: int) -> int:
     return (n.bit_length() + n.bit_count() - 2) * n * n
 
 
-def exact_walk_point_probability(model: OffspringModel, n: int, target: int) -> float:
-    """P(S_n = target) by binary-power convolution of the pmf, O(n^2 log n).
+def exact_walk_law(model: OffspringModel, n: int, top: int) -> np.ndarray:
+    """P(S_n = t) for t = 0..top by binary-power convolution of the pmf.
 
-    Values above the target cannot contribute (all summands are >= 0), so
-    supports are truncated at target+1 throughout; the result is exact up to
-    float rounding.
+    Values above top cannot contribute (all summands are >= 0), so supports
+    are truncated at top+1 throughout; the result is exact up to float
+    rounding.  O(top^2 log n) for n >= 1.
     """
-    if target < 0:
-        return 0.0
-    base = np.asarray(model.pmf(np.arange(target + 1)), dtype=float)
+    base = np.asarray(model.pmf(np.arange(top + 1)), dtype=float)
     result = None
     e = n
     while e:
         if e & 1:
-            result = base.copy() if result is None else np.convolve(result, base)[: target + 1]
+            result = base.copy() if result is None else np.convolve(result, base)[: top + 1]
         e >>= 1
         if e:
-            base = np.convolve(base, base)[: target + 1]
-    return float(result[target])
+            base = np.convolve(base, base)[: top + 1]
+    return result
+
+
+def exact_walk_point_probability(model: OffspringModel, n: int, target: int) -> float:
+    """P(S_n = target) by exact_walk_law, O(n^2 log n) for target = n - 1."""
+    if target < 0:
+        return 0.0
+    return float(exact_walk_law(model, n, target)[target])
 
 
 def run_llt(model: OffspringModel, n_list: list[int], master_seed: int = 0) -> McReport:

@@ -32,8 +32,9 @@ _INPUT_TOL = 1e-9
 # so the cutoff introduces no sampling bias.
 _TABLE_TAIL = 1e-12
 _TABLE_CAP = 1 << 14
-# Number of low categories handled by the multiset sampler in one multinomial.
-_COMMON_SPLIT = 256
+# The degree sampler draws the values below this bound, other than 0 and the
+# split value j, in one multinomial; the rest by inversion of the tail.
+_TABLE_SPLIT = 256
 # Exact support reachability is tabulated for targets below this bound;
 # larger sizes are decided by the span congruence alone.
 _REACH_LIMIT = 4096
@@ -41,6 +42,25 @@ _REACH_LIMIT = 4096
 
 class OffspringError(ValueError):
     """Raised for offspring laws violating criticality or nondegeneracy."""
+
+
+@dataclass(frozen=True)
+class DegreeSplit:
+    """The law seen by the degree sampler: the pair {0, j} against the rest.
+
+    ``j`` is the smallest positive support value, ``r = p_j / (p_0 + p_j)``
+    and ``rest = 1 - p_0 - p_j``.  ``values`` is ``[0, j]`` followed by the
+    other support values below _TABLE_SPLIT, whose probabilities, renormalized
+    among themselves, are ``other_probs``.  ``tail_q`` is the mass above them,
+    which ``rest`` includes.
+    """
+
+    j: int
+    r: float
+    rest: float
+    values: np.ndarray
+    other_probs: np.ndarray
+    tail_q: float
 
 
 @dataclass(frozen=True)
@@ -64,11 +84,8 @@ class OffspringModel:
     table_cdf: np.ndarray
     tail_prob: float
     truncation_K: int
-    common_values: np.ndarray = field(repr=False)
-    common_probs: np.ndarray = field(repr=False)
-    common_tail_q: float = field(repr=False)
+    split: DegreeSplit = field(repr=False)
     reachable: np.ndarray = field(repr=False)
-    bn_scale: float = 1.0  # optional b_n override factor; kappa is then the caller's problem
 
     # -- law accessors -------------------------------------------------
 
@@ -106,9 +123,6 @@ class OffspringModel:
 
     def total_mass(self) -> float:
         return math.fsum(self.table_probs) + self.tail_prob
-
-    def variance(self) -> float:
-        return self.sigma2
 
     # -- sampling ------------------------------------------------------
 
@@ -234,10 +248,12 @@ def _span_of(values: np.ndarray, probs: np.ndarray) -> int:
 
 def _reachability(values: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Boolean table: reach[m] == True iff m is a sum of positive support values."""
-    gens = [int(v) for v, p in zip(values, probs) if v >= 1 and p > 0.0][:64]
+    gens = values[(values >= 1) & (values < _REACH_LIMIT) & (probs > 0.0)].tolist()
     reach = np.zeros(_REACH_LIMIT, dtype=bool)
     reach[0] = True
     for g in gens:
+        if reach[g]:
+            continue  # a sum of smaller generators adds nothing new
         shift = g
         while shift < _REACH_LIMIT:
             upd = reach.copy()
@@ -249,18 +265,32 @@ def _reachability(values: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return reach
 
 
+def _degree_split(values: np.ndarray, probs: np.ndarray, cdf: np.ndarray) -> DegreeSplit:
+    j_at = int(np.flatnonzero((values > 0) & (probs > 0.0))[0])
+    j = int(values[j_at])
+    p0, pj = float(probs[0]), float(probs[j_at])  # values[0] == 0: pmf(0) > 0 is required
+    head = min(len(values), _TABLE_SPLIT)
+    keep = (values[:head] != 0) & (values[:head] != j) & (probs[:head] > 0.0)
+    other_values = values[:head][keep]
+    other_probs = probs[:head][keep]
+    tail_q = float(max(0.0, 1.0 - cdf[head - 1]))
+    other_mass = math.fsum(other_probs)
+    rest = other_mass + tail_q
+    split_values = np.concatenate(([0, j], other_values)).astype(np.int64)
+    other_probs = other_probs / other_mass if other_mass else other_probs
+    for arr in (split_values, other_probs):
+        arr.setflags(write=False)
+    return DegreeSplit(j=j, r=pj / (p0 + pj), rest=rest, values=split_values, other_probs=other_probs,
+                       tail_q=tail_q)
+
+
 def _finish_model(family, gamma, kappa, sigma2, c, values, probs, tail_prob, trunc_k) -> OffspringModel:
     values = np.ascontiguousarray(values, dtype=np.int64)
     probs = np.ascontiguousarray(probs, dtype=float)
     cdf = np.cumsum(probs)
     if tail_prob == 0.0:
         cdf[-1] = 1.0
-    ncommon = min(len(values), _COMMON_SPLIT)
-    common_values = values[:ncommon]
-    common_probs = probs[:ncommon]
-    common_tail_q = float(max(0.0, 1.0 - cdf[ncommon - 1])) if ncommon else 1.0
-    pc = common_probs / common_probs.sum()
-    for arr in (values, probs, cdf, common_values, pc):
+    for arr in (values, probs, cdf):
         arr.setflags(write=False)
     return OffspringModel(
         family=family,
@@ -274,9 +304,7 @@ def _finish_model(family, gamma, kappa, sigma2, c, values, probs, tail_prob, tru
         table_cdf=cdf,
         tail_prob=float(tail_prob),
         truncation_K=trunc_k,
-        common_values=common_values,
-        common_probs=pc,
-        common_tail_q=common_tail_q,
+        split=_degree_split(values, probs, cdf),
         reachable=_reachability(values, probs),
     )
 
@@ -364,8 +392,8 @@ def normalizer(model: OffspringModel, n: int) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     if model.family == STABLE_POWER:
-        return model.bn_scale * float(n) ** (1.0 / model.gamma)
-    return model.bn_scale * math.sqrt(model.sigma2 * n)
+        return float(n) ** (1.0 / model.gamma)
+    return math.sqrt(model.sigma2 * n)
 
 
 def support_contains(model: OffspringModel, n: int) -> bool:

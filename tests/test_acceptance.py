@@ -91,7 +91,7 @@ def test_criterion_2_continuum_discrete_agreement(catalan_acceptance_report,
     assert not failed, (
         f"joint-CI agreement failed for tolls {[r[0] for r in failed]}: "
         "the discrete estimator at n=10001 carries a finite-size bias "
-        "(about -4% for the height toll) that the m=10^4 excursion estimator "
+        "(about -4% to -5% for the height toll) that the m=10^4 excursion estimator "
         "does not share (about -1.4%), while the joint 95% band at R=10^4 is "
         "about +-1.3%; see ROADMAP.md, direction E, for the analysis"
     )
@@ -235,12 +235,19 @@ def test_criterion_7_special_functions():
 GAMMA_15_TAIL_CAUSE = (
     "; the gamma=1.5 lower-tail exponent 3 is not visible in any tail window "
     "that R=10^4 reaches. The sampler reproduces the exact enumerated law of "
-    "stable gamma=1.5 trees (chi-square p = 0.82, 0.68, 0.19 at n = 3, 5, 7, "
+    "stable gamma=1.5 trees (chi-square p = 0.14, 0.19, 0.77 at n = 3, 5, 7, "
     "R=10^5 each). At this seed and R=10^4 the empirical-CDF fit gives "
-    "1.66-2.02 at n = 300, 1000 and 3000 alike over the windows [0.002, 0.2] "
+    "1.55-1.87 at n = 300, 1000 and 3000 alike over the windows [0.002, 0.2] "
     "and [0.001, 0.5], so this is neither a finite-size effect nor a sampler "
     "fault. In the [0.002, 0.05] window the fit is mostly noise (bootstrap "
-    "5-95% range 0.6-3.6 at n=3000). See ROADMAP.md, Fix first."
+    "5-95% range 0.3-3.9 at n=3000). See ROADMAP.md, Fix first."
+)
+GAMMA_2_TAIL_CAUSE = (
+    "; the gamma=2 fit in the [0.002, 0.05] window is mostly noise: a "
+    "bootstrap of the pinned Catalan n=2001 sample spreads it over 1.8-6.0 "
+    "(5-95%), and the windows [0.002, 0.2] and [0.001, 0.5] give 2.83 and "
+    "2.68. The Catalan sampler is exact: its multiset is forced and only the "
+    "order is random. See ROADMAP.md, Fix first."
 )
 
 
@@ -277,7 +284,8 @@ def test_criterion_8_height_distribution():
         _report(f"8 (lower tail {label})", ok, f"{shown} vs gamma/(gamma-1) = {target:.3f}")
     print(f"criterion 8 wall time {time.time() - t0:.0f}s")
     assert not failed, f"criterion 8 failed for {failed}" + (
-        GAMMA_15_TAIL_CAUSE if "lower tail gamma=1.5" in failed else "")
+        GAMMA_15_TAIL_CAUSE if "lower tail gamma=1.5" in failed else "") + (
+        GAMMA_2_TAIL_CAUSE if "lower tail gamma=2" in failed else "")
 
 
 def test_criterion_9_divergence():

@@ -12,6 +12,7 @@ from bgwf.offspring import (
     make_finite_variance,
     make_stable_family,
     normalizer,
+    snap_to_support,
     support_contains,
 )
 
@@ -148,6 +149,24 @@ def test_support_contains():
     for n in (2, 4, 6, 8):
         assert not support_contains(gapped, n)
     assert support_contains(gapped, 3) and support_contains(gapped, 10)
+
+
+def test_support_uses_every_generator():
+    # {0, 2} plus 65 values of mass 1e-6: 4, 6, ..., 130 and 131.  A size-132
+    # tree needs degree sum 131, an odd sum, so the 65th positive value, 131,
+    # must count.
+    pmf = {k: 1e-6 for k in range(4, 131, 2)}
+    pmf[131] = 1e-6
+    p2 = (1.0 - math.fsum(k * p for k, p in pmf.items())) / 2.0
+    pmf[2] = p2
+    pmf[0] = 1.0 - p2 - 1e-6 * 65
+    model = make_finite_variance(pmf)
+    from bgwf.harness import exact_walk_point_probability
+
+    assert exact_walk_point_probability(model, 132, 131) > 0.0
+    assert support_contains(model, 132)
+    assert snap_to_support(model, 132) == 132
+    assert not support_contains(model, 130)  # odd sums start at 131
 
 
 def test_cherry_probability_by_convolution():

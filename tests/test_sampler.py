@@ -8,14 +8,18 @@ from scipy.stats import chisquare
 
 from conftest import enumerate_tree_law, rng_for
 
+from bgwf.harness import exact_walk_law
 from bgwf.offspring import catalan_model, geometric_model, make_stable_family
 from bgwf.sampler import (
     ANNOTATE_NUMPY_MIN,
+    DROP_SHARE,
     BudgetExhausted,
     _annotate_loop,
     _annotate_lukasiewicz,
     build_and_annotate,
     cycle_rotate,
+    default_attempt_budget,
+    predicted_acceptance_rate,
     range_max,
     sample_conditioned,
     sample_degree_sequence,
@@ -185,9 +189,11 @@ def test_structural_invariants_on_samples(rng):
 
 
 def test_exact_law_small_sizes(rng):
-    # empirical tree-shape frequencies against brute-force enumeration
+    # empirical tree-shape frequencies against brute-force enumeration; with
+    # c = 1/gamma the stable law has pmf(1) = 0, so the split value j is 2
     cases = [(catalan_model(), 5), (geometric_model(), 3), (geometric_model(), 5),
-             (make_stable_family(1.5, 0.5), 5)]
+             (geometric_model(), 7), (make_stable_family(1.5, 0.5), 5),
+             (make_stable_family(1.5, 1.0 / 1.5), 7)]
     for model, n in cases:
         law = enumerate_tree_law(model, n)
         counts = Counter()
@@ -232,9 +238,44 @@ def test_unsupported_size_rejected(rng):
 
 
 def test_budget_exhaustion_diagnostic(rng):
+    # stable gamma=1.05 at n=10^4 accepts about 1 attempt in 2200
+    model, n = make_stable_family(1.05, 0.9), 10_000
     with pytest.raises(BudgetExhausted) as err:
-        sample_degree_sequence(geometric_model(), 501, rng, max_attempts=1)
-    assert "acceptance rate" in str(err.value)
+        sample_degree_sequence(model, n, rng, max_attempts=1)
+    rate = predicted_acceptance_rate(model, n)
+    assert err.value.acceptance_rate == rate < 1e-3
+    assert f"acceptance rate per attempt {rate:.3g}" in str(err.value)
+
+
+def test_default_budget_covers_predicted_rate():
+    # fewer than DROP_SHARE of the trees dropped at half the predicted rate
+    for model, n in ((catalan_model(), 10_001), (geometric_model(), 501),
+                     (make_stable_family(1.5, 0.5), 10_000), (make_stable_family(1.2, 0.5), 10_000)):
+        rate = predicted_acceptance_rate(model, n)
+        budget = default_attempt_budget(model, n)
+        assert budget >= 1000
+        assert (1.0 - rate / 2.0) ** budget < DROP_SHARE
+
+
+def test_degree_counts_match_exact_finite_n_means():
+    # E[#vertices of degree k] = n p_k P(S_{n-1} = n-1-k) / P(S_n = n-1).  The
+    # class k >= 256 is drawn by the sampler's tail inversion, beyond the
+    # multinomial, which enumeration at n <= 9 cannot reach.  Degrees beyond
+    # b_n are rare in a conditioned tree: the class holds 3.4e-7 vertices per
+    # tree at n = 1000 (b_n = 100), but 0.33 at n = 10^4 (b_n = 464).
+    model, n, R = make_stable_family(1.5, 0.5), 10_000, 5000
+    k = np.arange(n)
+    weight = model.pmf(k) * exact_walk_law(model, n - 1, n - 1)[::-1]
+    exact = n * weight / weight.sum()  # sum_k p_k P(S_{n-1} = n-1-k) = P(S_n = n-1)
+    classes = {"0": k == 0, "1": k == 1, "2": k == 2, ">=256": k >= 256}
+    counts = np.empty((R, len(classes)))
+    for j in range(R):
+        d = np.bincount(sample_degree_sequence(model, n, rng_for(20_260_501, j)), minlength=n)
+        counts[j] = [d[mask].sum() for mask in classes.values()]
+    for (label, mask), col in zip(classes.items(), counts.T):
+        want = exact[mask].sum()
+        z = (col.mean() - want) / (col.std(ddof=1) / math.sqrt(R))
+        assert abs(z) < 4.0, f"degree class {label}: mean {col.mean():.5f}, exact {want:.5f}, z {z:+.2f}"
 
 
 def test_tree_csv_dump(tmp_path):
