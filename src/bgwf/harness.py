@@ -30,7 +30,7 @@ from .continuum import (
     sweep_from_decomposition,
 )
 from .functionals import TollFunction, a_measure, rescaled_theorem1_sum
-from .offspring import OffspringModel, normalizer, snap_to_support
+from .offspring import OffspringModel, normalizer, snap_to_support, support_contains
 from .sampler import BudgetExhausted, sample_conditioned
 
 log = logging.getLogger("bgwf")
@@ -52,10 +52,22 @@ VERDICT_BOUNDARY = "boundary"
 
 MAX_DROP_FRACTION = 0.01
 
-# Largest llt_cost(n) that run_llt accepts, about 10 s of convolution.  On a
-# 2-core Intel Xeon, n = 40001 (3.2e10 multiply-adds) takes 6.1 s and is
-# accepted; n = 49001 (6.0e10) takes 11.8 s and is refused.
-LLT_MAX_COST = 5e10
+# Largest llt_cost(n) that run_llt accepts, about 10 s of transforms.  On a
+# 2-core Intel Xeon the FFT path runs 0.42-0.56e9 of these multiply-adds per
+# second: n = 10^6 + 1 (2.3e9) takes 4.5 s, n = 2^20 - 1 (3.4e9) 8.2 s and
+# n = 1436927 (4.5e9, the costliest accepted) 8.8 s.  Every n <= 2^20 is
+# accepted and every n > 2^21 + 2^14 refused, since the cost grows as
+# n log^2 n.  That also bounds memory, which grows as nfft: the largest
+# accepted transforms are 4.3e6 points, and n = 2^21 + 1 (4.2e6 points)
+# peaks at 323 MB resident in 10.3 s.
+LLT_MAX_COST = 4.5e9
+
+# exact_walk_law multiplies laws on 0..top directly when top < FFT_MIN_LENGTH.
+# On the same machine, per law of stable gamma = 1.5 with n = top + 1, the two
+# cost the same within 5% from top = 128 to 511 (0.14-0.73 ms), so the direct
+# product is kept there for its relative accuracy on every entry; above, FFT
+# wins (0.91 against 1.26 ms at top = 600, 1.1 against 2.7 ms at 1024).
+FFT_MIN_LENGTH = 512
 
 
 @dataclass
@@ -374,36 +386,88 @@ def run_phase_scan(config: ExperimentConfig) -> McReport:
     return McReport(rows, checks=checks, extras={"verdicts": verdicts}, wall_time=time.time() - t0)
 
 
+def _fft_length(top: int) -> int:
+    """Smallest 2^a 3^b 5^c >= 2 (top + 1) - 1.
+
+    Products of two laws on 0..top then do not wrap around.  numpy's
+    pocketfft transforms such lengths about as fast per point as powers of
+    two, which can be twice as long: for the Catalan law at n = 40001, 81000
+    points take 0.10 s where 131072 take 0.18 s, with less memory.
+    """
+    need = 2 * top + 1
+    best = 1 << (need - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-need // p35) - 1).bit_length())  # least p35 2^a >= need
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def llt_cost(n: int) -> int:
     """Multiply-adds spent by exact_walk_point_probability(model, n, n - 1).
 
     Binary powering makes bit_length(n) - 1 squarings and popcount(n) - 1
-    products, each a direct convolution of two length-n arrays: O(n^2 log n).
+    products.  Below FFT_MIN_LENGTH each is a direct convolution of two
+    length-n arrays, n^2.  Above, each costs two transforms of nfft points,
+    nfft ceil(log2(nfft)) apiece: one inverse, and one forward of base
+    (squaring) or of the partial result (product), since a level's squaring
+    and product share the spectrum of base.  The top level has no squaring,
+    so it needs one more forward transform when it has a product.
     """
-    return (n.bit_length() + n.bit_count() - 2) * n * n
+    squarings, products = n.bit_length() - 1, n.bit_count() - 1
+    if n - 1 < FFT_MIN_LENGTH:
+        return (squarings + products) * n * n
+    nfft = _fft_length(n - 1)
+    return (2 * (squarings + products) + (products > 0)) * nfft * (nfft - 1).bit_length()
 
 
 def exact_walk_law(model: OffspringModel, n: int, top: int) -> np.ndarray:
-    """P(S_n = t) for t = 0..top by binary-power convolution of the pmf.
+    """P(S_n = t) for t = 0..top by binary powering of the pmf.
 
-    Values above top cannot contribute (all summands are >= 0), so supports
-    are truncated at top+1 throughout; the result is exact up to float
-    rounding.  O(top^2 log n) for n >= 1.
+    Values above top cannot contribute (all summands are >= 0), so every
+    product is truncated at top+1 and the result is exact up to float
+    rounding.  For top < FFT_MIN_LENGTH the products are direct convolutions,
+    O(top^2 log n) in all, and every entry keeps its relative accuracy (the
+    small-n oracles read tails of 1e-44).  Longer laws are multiplied by real
+    FFTs of _fft_length(top) points, O(top log top log n) in all.  Rounding
+    then leaves an absolute error on each entry, whatever its size, which
+    grows slowly with top: against binomial probabilities, the Catalan law
+    is off by at most 3e-15 at top = 10^4, 7e-15 at 4x10^4 and 3e-14 at
+    2x10^5.  The negative entries it leaves are clipped to 0.
     """
     base = np.asarray(model.pmf(np.arange(top + 1)), dtype=float)
+    if top < FFT_MIN_LENGTH:
+        def spectrum(a):
+            return a
+
+        def multiply(fa, fb):
+            return np.convolve(fa, fb)[: top + 1]
+    else:
+        nfft = _fft_length(top)
+
+        def spectrum(a):
+            return np.fft.rfft(a, nfft)
+
+        def multiply(fa, fb):
+            return np.maximum(np.fft.irfft(fa * fb, nfft)[: top + 1], 0.0)
     result = None
     e = n
     while e:
+        if e > 1 or result is not None:
+            fb = spectrum(base)  # shared by this level's product and squaring
         if e & 1:
-            result = base.copy() if result is None else np.convolve(result, base)[: top + 1]
+            result = base.copy() if result is None else multiply(spectrum(result), fb)
         e >>= 1
         if e:
-            base = np.convolve(base, base)[: top + 1]
+            base = multiply(fb, fb)
     return result
 
 
 def exact_walk_point_probability(model: OffspringModel, n: int, target: int) -> float:
-    """P(S_n = target) by exact_walk_law, O(n^2 log n) for target = n - 1."""
+    """P(S_n = target) by exact_walk_law, O(n log^2 n) for target = n - 1 >= FFT_MIN_LENGTH."""
     if target < 0:
         return 0.0
     return float(exact_walk_law(model, n, target)[target])
@@ -412,8 +476,9 @@ def exact_walk_point_probability(model: OffspringModel, n: int, target: int) -> 
 def run_llt(model: OffspringModel, n_list: list[int], master_seed: int = 0) -> McReport:
     """Exact local-limit check: b_n P(S_n = n-1) / span against g(0).
 
-    Sizes are taken as given (no support snapping) so that span obstructions
-    show up as exact zeros.  For n <= 9 the Otter-Dwass identity
+    Sizes are taken as given (no support snapping): a size outside the
+    support (offspring.support_contains), such as a span obstruction, reads
+    an exact zero without any convolution.  For n <= 9 the Otter-Dwass identity
     n P(|tau| = n) = P(S_n = n-1) is verified against tree enumeration.
     """
     t0 = time.time()
@@ -421,12 +486,12 @@ def run_llt(model: OffspringModel, n_list: list[int], master_seed: int = 0) -> M
         if llt_cost(n) > LLT_MAX_COST:
             raise ValueError(
                 f"exact convolution for n={n} needs about {llt_cost(n):.1e} multiply-adds "
-                f"(O(n^2 log n)); the limit is {LLT_MAX_COST:.1e}")
+                f"(O(n log^2 n)); the limit is {LLT_MAX_COST:.1e}")
     rows = []
     checks = []
     limit = theory.g0(model.gamma, model.kappa)
     for n in n_list:
-        p = exact_walk_point_probability(model, n, n - 1)
+        p = exact_walk_point_probability(model, n, n - 1) if support_contains(model, n) else 0.0
         scaled = normalizer(model, n) * p / model.span
         rows.append(
             McRow(MODE_LLT, model.family, model.gamma, model.kappa, n, 0, None, None,

@@ -55,9 +55,9 @@ def test_llt_oversized_refused_before_any_work(monkeypatch, capsys):
         raise AssertionError("a convolution ran before the size check")
 
     monkeypatch.setattr(harness, "exact_walk_point_probability", no_convolution)
-    code, out, err = run_cli(["llt", "--family", "catalan", "--n", "101", "1000001"], capsys)
+    code, out, err = run_cli(["llt", "--family", "catalan", "--n", "101", "3000001"], capsys)
     assert code == 64
-    assert "n=1000001" in err and "multiply-adds" in err
+    assert "n=3000001" in err and "multiply-adds" in err
     assert out == ""
 
 

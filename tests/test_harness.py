@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from bgwf import harness
 from bgwf.functionals import TollFunction
 from bgwf.harness import (
     CSV_COLUMNS,
@@ -18,6 +19,7 @@ from bgwf.harness import (
     MODE_TAIL,
     _tail_exponent_fit,
     _tail_fit,
+    exact_walk_law,
     exact_walk_point_probability,
     llt_cost,
     run_continuum,
@@ -55,11 +57,82 @@ def test_llt_span_obstruction():
     assert all(r.estimate == 0.0 for r in rep.rows)
 
 
-def test_llt_cost_counts_convolutions():
-    # n = 5 = 0b101: two squarings and one product of length-5 arrays
+def test_llt_span_obstruction_needs_no_convolution(monkeypatch):
+    # above FFT_MIN_LENGTH a transform would read rounding noise, not the
+    # exact zero of an even Catalan size
+    def no_convolution(*args):
+        raise AssertionError("an obstructed size was convolved")
+
+    monkeypatch.setattr(harness, "exact_walk_point_probability", no_convolution)
+    rep = run_llt(catalan_model(), [10_000, 40_000])
+    assert [r.estimate for r in rep.rows] == [0.0, 0.0]
+
+
+def test_fft_length_is_smallest_5_smooth_without_wraparound():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    for top in range(3000):
+        want = next(m for m in range(2 * top + 1, 4 * top + 2) if smooth(m))
+        assert harness._fft_length(top) == want
+
+
+def test_llt_cost_counts_convolutions(monkeypatch):
+    # n = 5 = 0b101, direct: two squarings and one product of length-5 arrays
     assert llt_cost(5) == 3 * 25
     assert llt_cost(1) == 0
-    assert llt_cost(40_001) < LLT_MAX_COST < llt_cost(100_001)
+    # n = 513 = 0b1000000001 on 1080 = 2^3 3^3 5 points: 9 squarings and 1
+    # product, two transforms each, and the forward transform of base at the
+    # top level; 11 = ceil(log2(1080))
+    assert llt_cost(513) == (2 * 10 + 1) * 1080 * 11
+    # n = 1024 = 2^10 on 2048 points: 10 squarings, no product
+    assert llt_cost(1024) == 2 * 10 * 2048 * 11
+    # the costliest n <= 2^20 is accepted; n = 3000001 (6.1e6 points) is not
+    assert llt_cost(2**20 - 1) < LLT_MAX_COST < llt_cost(3_000_001)
+
+    sizes = []
+    for name in ("rfft", "irfft"):
+        def counted(a, nfft, _f=getattr(np.fft, name)):
+            sizes.append(nfft)
+            return _f(a, nfft)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    geo = geometric_model()
+    for n, nfft in ((513, 1080), (700, 1440), (1024, 2048), (1999, 4000)):
+        sizes.clear()
+        exact_walk_point_probability(geo, n, n - 1)
+        assert set(sizes) == {nfft}
+        assert len(sizes) * nfft * (nfft - 1).bit_length() == llt_cost(n)
+
+
+def _direct_walk_law(pmf, n, top):
+    """Binary powering with a direct convolution at every product."""
+    base, result = pmf, None
+    while n:
+        if n & 1:
+            result = base if result is None else np.convolve(result, base)[: top + 1]
+        n >>= 1
+        if n:
+            base = np.convolve(base, base)[: top + 1]
+    return result
+
+
+@pytest.mark.parametrize("top", [512, 2001, 4097])
+@pytest.mark.parametrize("make", [lambda: make_stable_family(1.5, 0.5), geometric_model,
+                                  catalan_model], ids=["stable", "geometric", "catalan"])
+def test_exact_walk_law_fft_matches_direct(make, top):
+    model = make()
+    law = exact_walk_law(model, top + 1, top)
+    ref = _direct_walk_law(model.pmf(np.arange(top + 1)), top + 1, top)
+    assert law.shape == ref.shape and law.min() >= 0.0
+    # about 45 ulps of 1; the largest gap seen is 2.3e-15 (Catalan, top 4097)
+    assert np.abs(law - ref).max() <= 1e-14
+    t = np.flatnonzero(ref)[-1]  # top, or top - 1 for Catalan's span 2 at odd top
+    assert t >= top - 1
+    assert law[t] == pytest.approx(ref[t], rel=1e-12)
 
 
 def test_llt_otter_dwass_checks_pass():

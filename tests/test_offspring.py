@@ -163,7 +163,10 @@ def test_support_uses_every_generator():
     model = make_finite_variance(pmf)
     from bgwf.harness import exact_walk_point_probability
 
-    assert exact_walk_point_probability(model, 132, 131) > 0.0
+    # sum 131 from 132 draws: one 131 and 131 zeros, 8.5e-44, which the direct
+    # product keeps to full relative accuracy
+    p = exact_walk_point_probability(model, 132, 131)
+    assert p == pytest.approx(132 * float(model.pmf(131)) * float(model.pmf(0)) ** 131, rel=1e-9)
     assert support_contains(model, 132)
     assert snap_to_support(model, 132) == 132
     assert not support_contains(model, 130)  # odd sums start at 131
@@ -180,23 +183,16 @@ def test_cherry_probability_by_convolution():
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
 def test_stable_clt_laplace_convolution(lam):
-    # E[exp(-lam (S_n - n)/n^(1/gamma))] -> exp(c lam^gamma), checked by exact
-    # convolution powers of the pmf for n = 2048 (3% relative)
+    # E[exp(-lam (S_n - n)/n^(1/gamma))] -> exp(c lam^gamma), checked on the
+    # exact law of S_n for n = 2048 (3% relative)
+    from bgwf.harness import exact_walk_law
+
     gamma, c = 1.5, 0.5
     m = make_stable_family(gamma, c)
     n = 2048
     b = n ** (1.0 / gamma)
     smax = int(n + 100 * b)
-    pmf = m.pmf(np.arange(smax + 1))
-    dist = None
-    base = pmf
-    e = n
-    while e:
-        if e & 1:
-            dist = base.copy() if dist is None else np.convolve(dist, base)[: smax + 1]
-        e >>= 1
-        if e:
-            base = np.convolve(base, base)[: smax + 1]
+    dist = exact_walk_law(m, n, smax)
     s = np.arange(smax + 1)
     val = float(np.sum(dist * np.exp(-lam * (s - n) / b)))
     assert val == pytest.approx(math.exp(c * lam**gamma), rel=0.03)
