@@ -61,9 +61,7 @@ from .theory import (
 )
 from .continuum import (
     Excursion,
-    LevelComponent,
     sample_excursion,
-    components_above,
     psi_level_sweep,
 )
 from .harness import (

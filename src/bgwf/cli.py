@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import secrets
 import sys
@@ -45,6 +46,7 @@ def _add_common_flags(p, sizes="+"):
     p.add_argument("--json-out", type=str, default=None)
     p.add_argument("--config", type=str, default=None)
     p.add_argument("--print-config", action="store_true")
+    p.add_argument("-v", "--verbose", action="store_true", help="log at INFO level on stderr")
 
 
 def build_parser() -> _Parser:
@@ -121,7 +123,7 @@ def resolve_options(args: argparse.Namespace) -> dict:
             raise SystemExit(USAGE_ERROR)
         opts.update(cfg)
     for key, val in vars(args).items():
-        if key in ("command", "config", "print_config"):
+        if key in ("command", "config", "print_config", "verbose"):
             continue
         if val is not None:
             opts[key] = val
@@ -177,11 +179,24 @@ def main(argv=None) -> int:
         return 0
     print(f"# seed: {opts['seed']}", file=sys.stderr)
 
+    # the harness logs to "bgwf"; the handler lives for this call only and
+    # does not propagate, so a caller's root handler prints nothing twice
+    log = logging.getLogger("bgwf")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("# %(levelname)s %(message)s"))
+    saved = log.level, log.propagate
+    log.setLevel("INFO" if args.verbose else "WARNING")
+    log.propagate = False
+    log.addHandler(handler)
     try:
         return _dispatch(args.command, opts)
     except (OffspringError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(saved[0])
+        log.propagate = saved[1]
 
 
 def _dispatch(command: str, opts: dict) -> int:

@@ -54,17 +54,6 @@ class Excursion:
                 fh.write(buf.getvalue())
 
 
-@dataclass(frozen=True)
-class LevelComponent:
-    """A maximal interval where the excursion exceeds a level."""
-
-    level: float
-    start: float
-    end: float
-    duration: float
-    height: float
-
-
 def sample_excursion(m: int, rng: np.random.Generator, duration: float = 1.0) -> Excursion:
     """Normalized excursion: Gaussian bridge of m steps rotated at its minimum.
 
@@ -82,9 +71,10 @@ def sample_excursion(m: int, rng: np.random.Generator, duration: float = 1.0) ->
         cyc[0] = 0.0
         cyc[1:] = bridge[:-1]
         i_min = int(np.argmin(cyc))
-        rotated = np.roll(cyc, -i_min) - cyc[i_min]
         values = np.empty(m + 1)
-        values[:m] = rotated
+        values[: m - i_min] = cyc[i_min:]
+        values[m - i_min : m] = cyc[:i_min]
+        values[:m] -= cyc[i_min]
         values[m] = 0.0
         if (values[1:m] > 0.0).all():
             break
@@ -94,81 +84,112 @@ def sample_excursion(m: int, rng: np.random.Generator, duration: float = 1.0) ->
     return Excursion(values=values, duration=duration)
 
 
-def components_above(exc: Excursion, r: float) -> list[LevelComponent]:
-    """Maximal intervals where the path exceeds r, linearly interpolated.
+def _level_counts(v: np.ndarray, dr: float, levels: int) -> np.ndarray:
+    """Exact count of the levels (k + 1/2) dr, k < levels, strictly below each v."""
+    grid = np.empty(levels + 2)  # level heights padded by -inf and +inf
+    grid[0], grid[-1] = -np.inf, np.inf
+    np.multiply(np.arange(levels) + 0.5, dr, out=grid[1:-1])
+    est = v / dr
+    est -= 0.5
+    np.ceil(est, out=est)
+    np.clip(est, 0, levels, out=est)
+    c = est.astype(np.intp)
+    c += grid[1:][c] < v  # level c is below v after all
+    c -= grid[c] >= v  # level c - 1 is not below v
+    return c
 
-    At r = 0 the whole excursion is the single component.  Returns the empty
-    list when r >= max.
+
+def _crossings(c: np.ndarray, m: int, dr: float, dtype) -> tuple:
+    """(level height, up edge, down edge) of each component, by (level, time).
+
+    Edge e crosses the levels min(c[e], c[e+1]) .. max - 1, so its keys
+    level * m + e start at min * m + e and step by m: the keys in edge order
+    are a cumulative sum of those steps and of the jumps between edges.
     """
-    v = exc.values
-    m = exc.m
-    dt = exc.dt
-    if r <= 0.0:
-        return [LevelComponent(0.0, 0.0, exc.duration, exc.duration, exc.max)]
-    if r >= exc.max:
-        return []
-    above = v > r
-    # run boundaries of the boolean mask
-    diff = np.diff(above.astype(np.int8))
-    starts = np.flatnonzero(diff == 1) + 1  # first index above
-    ends = np.flatnonzero(diff == -1)  # last index above
-    comps = []
-    for i, j in zip(starts, ends):
-        t0 = (i - 1 + (r - v[i - 1]) / (v[i] - v[i - 1])) * dt
-        t1 = (j + (v[j] - r) / (v[j] - v[j + 1])) * dt
-        peak = float(v[i : j + 1].max())
-        comps.append(LevelComponent(r, t0, t1, t1 - t0, peak - r))
-    return comps
+    counts = np.diff(c)
+    np.abs(counts, out=counts)
+    edges = np.flatnonzero(counts)
+    n_e = counts[edges]
+    first = np.minimum(c[edges], c[edges + 1]) * m + edges
+    jump = first.copy()
+    jump[1:] -= first[:-1] + (n_e[:-1] - 1) * m  # from the previous edge's last key
+    keys = np.full(int(n_e.sum()), m, dtype=dtype)
+    keys[np.cumsum(n_e) - n_e] = jump
+    np.cumsum(keys, out=keys)
+    keys.sort()
+    if len(keys) % 2:
+        raise ValueError("level crossings do not pair: the path is not an excursion")
+    level, e_up = np.divmod(keys[0::2], m)
+    level_dn, e_dn = np.divmod(keys[1::2], m)
+    if (level != level_dn).any():
+        raise ValueError("level crossings do not alternate up/down: the path is not an excursion")
+    r_vals = level + 0.5
+    r_vals *= dr
+    return r_vals, e_up, e_dn
+
+
+def _durations(v: np.ndarray, r_vals: np.ndarray, e_up: np.ndarray, e_dn: np.ndarray) -> np.ndarray:
+    """Grid time from the up to the down crossing, each linearly interpolated."""
+    slope = np.diff(v)
+    s_up, s_dn = slope[e_up], slope[e_dn]
+    if (s_up <= 0.0).any() or (s_dn >= 0.0).any():
+        raise ValueError("level crossings do not alternate up/down: the path is not an excursion")
+    t_up = v[e_up]
+    np.subtract(r_vals, t_up, out=t_up)
+    t_up /= s_up
+    t_up += e_up
+    dur = v[e_dn]
+    np.subtract(r_vals, dur, out=dur)
+    dur /= s_dn
+    dur += e_dn
+    dur -= t_up
+    return dur
+
+
+def _peaks(v: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """max(v[s + 1 : t + 1]) for each pair (s, t), from a range maximum of
+    the ranks of v: a table of ``np.min_scalar_type(len(v) - 1)``."""
+    order = np.argsort(v)
+    rank = np.empty(len(v), dtype=np.min_scalar_type(len(v) - 1))
+    rank[order] = np.arange(len(v))
+    return v[order][range_max(rank[1:], starts, stops)]
 
 
 def level_decomposition(exc: Excursion, levels: int = DEFAULT_LEVELS):
     """All (duration, height, level) triples over a midpoint level grid.
 
-    Each grid edge contributes one crossing per level it straddles; crossings
-    sorted by (level, time) alternate up/down and pair into components, and
-    component peaks come from a sparse range-max table (``range_max``).
-    Work is O(m log m + C) with C the total crossing count (at most m per
-    level).
-    Returns (durations, heights, level_values, dr); None on the measure-zero
-    event that a grid value ties a level exactly (callers fall back to the
-    per-level scan).
+    Level k sits at r_k = (k + 1/2) dr with dr = max / levels, and a grid
+    point is above it iff v > r_k, the convention of a superlevel set
+    {v > r}.  The count c[i] of levels below v[i] is exact on the float grid
+    (a ceil estimate, corrected by one comparison each way), so a value that
+    ties a level is simply not above it, and edge e crosses the levels
+    min(c[e], c[e+1]) .. max - 1.  The keys level * m + edge, sorted once,
+    order the crossings by (level, time); they alternate up/down and pair
+    into components.  The keys are int32 while levels * m < 2^31 and int64
+    otherwise.  Component peaks are range maxima of the ranks of v, a table
+    of ``np.min_scalar_type(m)`` (``range_max``).  Work is O(m log m + C)
+    with C the total crossing count (at most m per level).
+    Returns (durations, heights, level_values, dr); raises ValueError if the
+    crossings do not pair, i.e. the path does not start and end below the
+    lowest level.
     """
-    v = exc.values
+    v = np.asarray(exc.values, dtype=float)
     m = exc.m
-    dt = exc.dt
     vmax = float(v.max())
     dr = vmax / levels
-    lo = np.minimum(v[:-1], v[1:])
-    hi = np.maximum(v[:-1], v[1:])
-    # level k has height (k + 1/2) dr; edge straddles it iff lo < r_k < hi
-    kmin = np.floor(lo / dr - 0.5).astype(np.int64) + 1
-    kmax = np.ceil(hi / dr - 0.5).astype(np.int64) - 1
-    kmin = np.maximum(kmin, 0)
-    kmax = np.minimum(kmax, levels - 1)
-    counts = np.maximum(kmax - kmin + 1, 0)
-    total = int(counts.sum())
-    if total == 0:
+    if not vmax > 0.0:
         return np.zeros(0), np.zeros(0), np.zeros(0), dr
-    # crossings in edge order: edge e crosses levels kmin[e] .. kmax[e]
-    edge = np.repeat(np.arange(m), counts)
-    ks = np.arange(total) + np.repeat(kmin - (np.cumsum(counts) - counts), counts)
-    # within a level, edge order is time order, so a stable sort on the level
-    # alone sorts the crossings by (level, time); numpy's stable sort is a
-    # radix sort on keys of 16 bits or less
-    order = np.argsort(ks.astype(np.min_scalar_type(levels)), kind="stable")
-    ks_s = ks[order]
-    edge_s = edge[order]
-    slope = np.diff(v)[edge_s]
-    up_s = slope > 0
-    if total % 2 or not up_s[0::2].all() or up_s[1::2].any() or (ks_s[0::2] != ks_s[1::2]).any():
-        return None
-    t_s = edge_s + ((ks_s + 0.5) * dr - v[edge_s]) / slope
-    dur = (t_s[1::2] - t_s[0::2]) * dt
+    key_dtype = np.int32 if levels * m < 2**31 else np.int64
+    # each step is a function, so its temporaries are freed before the next
+    # one allocates: at m = 10^4 that halves the page faults of a call
+    r_vals, e_up, e_dn = _crossings(_level_counts(v, dr, levels), m, dr, key_dtype)
+    dur = _durations(v, r_vals, e_up, e_dn)
+    dur *= exc.dt
     # the grid points above the level run from the up edge's right end to the
     # down edge's left end
-    peak = range_max(v, edge_s[0::2] + 1, edge_s[1::2] + 1)
-    r_vals = (ks_s[0::2] + 0.5) * dr
-    return dur, peak - r_vals, r_vals, dr
+    height = _peaks(v, e_up, e_dn)
+    height -= r_vals
+    return dur, height, r_vals, dr
 
 
 def sweep_from_decomposition(decomp, toll) -> float:
@@ -190,26 +211,4 @@ def sweep_from_decomposition(decomp, toll) -> float:
 
 def psi_level_sweep(exc: Excursion, toll, levels: int = DEFAULT_LEVELS) -> float:
     """Midpoint-rule value of Z_f over `levels` levels in (0, max)."""
-    decomp = level_decomposition(exc, levels)
-    if decomp is None:
-        return _psi_sweep_reference(exc, toll, levels)
-    return sweep_from_decomposition(decomp, toll)
-
-
-def _psi_sweep_reference(exc: Excursion, toll, levels: int) -> float:
-    vmax = exc.max
-    dr = vmax / levels
-    acc = 0.0
-    for k in range(levels):
-        r = (k + 0.5) * dr
-        comps = components_above(exc, r)
-        if not comps:
-            continue
-        durs = np.array([c.duration for c in comps])
-        heights = np.array([c.height for c in comps])
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            f_vals = np.asarray(toll(durs, heights), dtype=float)
-        if not np.isfinite(f_vals).all():
-            raise ValueError(f"toll not finite at level r={r:g}")
-        acc += float((durs * f_vals).sum())
-    return dr * acc
+    return sweep_from_decomposition(level_decomposition(exc, levels), toll)

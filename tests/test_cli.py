@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -29,6 +30,31 @@ def test_moment_theory_column(capsys):
     assert float(cells["theory"]) == pytest.approx(0.626657, abs=1e-6)
     assert cells["seed"] == "42"
     assert "# seed: 42" in err
+
+
+def test_verbose_logs_size_snapping(capsys):
+    # n=10 is off the Catalan span (odd sizes only)
+    argv = ["moment", "--family", "catalan", "--n", "10", "--R", "2", "--seed", "1"]
+    code, _, err = run_cli(argv + ["-v"], capsys)
+    assert code == 0
+    assert "# INFO size 10 not in the support; snapped to" in err
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0 and "snapped" not in err
+
+
+def test_verbose_does_not_repeat_through_root_handler(capsys):
+    records = []
+    root_handler = logging.Handler()
+    root_handler.emit = records.append
+    logging.getLogger().addHandler(root_handler)
+    try:
+        code, _, err = run_cli(["moment", "--family", "catalan", "--n", "10", "--R", "2",
+                                "--seed", "1", "-v"], capsys)
+    finally:
+        logging.getLogger().removeHandler(root_handler)
+    assert code == 0 and err.count("snapped to") == 1
+    assert records == []
+    assert logging.getLogger("bgwf").propagate
 
 
 def test_llt_row(capsys):

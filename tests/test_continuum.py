@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,12 +8,48 @@ from conftest import rng_for
 
 from bgwf.continuum import (
     Excursion,
-    components_above,
     level_decomposition,
     psi_level_sweep,
     sample_excursion,
 )
 from bgwf.functionals import TollFunction
+
+
+@dataclass(frozen=True)
+class LevelComponent:
+    """A maximal interval where the excursion exceeds a level."""
+
+    level: float
+    start: float
+    end: float
+    duration: float
+    height: float
+
+
+def components_above(exc: Excursion, r: float) -> list[LevelComponent]:
+    """Oracle: maximal intervals where the path exceeds r, linearly interpolated.
+
+    At r = 0 the whole excursion is the single component.  Returns the empty
+    list when r >= max.
+    """
+    v = exc.values
+    dt = exc.dt
+    if r <= 0.0:
+        return [LevelComponent(0.0, 0.0, exc.duration, exc.duration, exc.max)]
+    if r >= exc.max:
+        return []
+    above = v > r
+    # run boundaries of the boolean mask
+    diff = np.diff(above.astype(np.int8))
+    starts = np.flatnonzero(diff == 1) + 1  # first index above
+    ends = np.flatnonzero(diff == -1)  # last index above
+    comps = []
+    for i, j in zip(starts, ends):
+        t0 = (i - 1 + (r - v[i - 1]) / (v[i] - v[i - 1])) * dt
+        t1 = (j + (v[j] - r) / (v[j] - v[j + 1])) * dt
+        peak = float(v[i : j + 1].max())
+        comps.append(LevelComponent(r, t0, t1, t1 - t0, peak - r))
+    return comps
 
 
 def triangular(m=1000):
@@ -97,6 +134,81 @@ def test_decomposition_equals_lexsort_reference():
         for g, w in zip(got[:3], want[:3]):
             np.testing.assert_array_equal(g, w)
         assert got[3] == want[3]
+
+
+def tie_excursion(rng, scale, nudge):
+    """A path whose interior values sit on level heights: (k + 1/2) dr below
+    the maximum L * scale, with dr = (L * scale) / L for levels = L.  With
+    `nudge` each such value moves to its float neighbour below or above, or
+    stays, at random."""
+    L = int(rng.integers(2, 12))
+    m = int(rng.integers(4, 60))
+    dr = L * scale / L
+    v = np.zeros(m + 1)
+    v[1:m] = (rng.integers(0, L, m - 1) + 0.5) * dr
+    if nudge:
+        v[1:m] = np.nextafter(v[1:m], v[1:m] + rng.integers(-1, 2, m - 1))
+    v[rng.integers(1, m)] = L * scale
+    return Excursion(values=v), L
+
+
+@pytest.mark.parametrize("scale, nudge", [(1.0, False), (0.1, False), (math.pi, False),
+                                          (0.1, True), (math.pi, True)])
+def test_decomposition_exact_at_level_ties(scale, nudge):
+    # A value that ties a level is not above it (v > r), as in the oracle.
+    # At scale 1 (dr = 1) the ceil estimate of the level count is exact; at
+    # the other scales it overshoots on some ties and, one ulp above a
+    # level, falls short, and the correction mends both.
+    rng = rng_for(59, 0)
+    for _ in range(500):
+        exc, levels = tie_excursion(rng, scale, nudge)
+        dur, height, r_vals, dr = level_decomposition(exc, levels)
+        assert dr == exc.max / levels
+        total = 0
+        for k in range(levels):
+            r = (k + 0.5) * dr
+            comps = components_above(exc, r)
+            at = r_vals == r
+            # the decomposition lists each level's components in time order
+            np.testing.assert_allclose(dur[at], [c.duration for c in comps], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(height[at], [c.height for c in comps], rtol=0, atol=1e-15)
+            total += len(comps)
+        assert len(dur) == total
+
+
+def test_decomposition_wide_keys():
+    # levels * m = 2^32 takes int64 keys: the upper half of the levels' keys
+    # overflow int32; a small grid keeps the rank table small
+    m, levels = 2**12, 2**20
+    tri = triangular(m)
+    dur, height, r_vals, dr = level_decomposition(tri, levels)
+    assert len(dur) == levels
+    np.testing.assert_allclose(r_vals, (np.arange(levels) + 0.5) * dr, rtol=0, atol=0)
+    np.testing.assert_allclose(dur, 1.0 - 2.0 * r_vals, rtol=1e-9)
+    np.testing.assert_allclose(height, 0.5 - r_vals, rtol=1e-9)
+    assert dur[-1] == pytest.approx(dr, rel=1e-9)
+
+
+def test_decomposition_rejects_a_path_that_starts_above():
+    v = np.array([0.5, 1.0, 0.5, 0.0])
+    with pytest.raises(ValueError, match="not an excursion"):
+        level_decomposition(Excursion(values=v), 4)
+
+
+def test_excursion_is_the_rotated_bridge():
+    # reference: the Vervaat rotation by np.roll on the same draws
+    for seed in range(20):
+        for m in (2, 3, 200):
+            got = sample_excursion(m, rng_for(seed, 1))
+            rng = rng_for(seed, 1)
+            while True:
+                walk = np.cumsum(rng.standard_normal(m) * math.sqrt(1.0 / m))
+                cyc = np.concatenate([[0.0], (walk - np.arange(1, m + 1) / m * walk[-1])[:-1]])
+                i = int(np.argmin(cyc))
+                want = np.append(np.roll(cyc, -i) - cyc[i], 0.0)
+                if (want[1:m] > 0.0).all():
+                    break
+            assert [x.hex() for x in got.values.tolist()] == [x.hex() for x in want.tolist()]
 
 
 def test_excursion_endpoints_and_positivity():
