@@ -52,8 +52,6 @@ from .theory import (
     mass_only_moment,
     phase_regime,
     finiteness,
-    height_tail,
-    duration_density,
     GLOBAL,
     NON_GLOBAL,
     AS_FINITE,

@@ -57,13 +57,6 @@ def build_parser() -> _Parser:
     _add_family_flags(p)
     _add_common_flags(p, sizes=None)
 
-    p = sub.add_parser("functional", help="moment row (mean, stderr, theory) of the rescaled sum "
-                                          "over two sampled trees; --R is ignored")
-    _add_family_flags(p)
-    _add_common_flags(p, sizes=None)
-    p.add_argument("--alpha-prime", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=0.0)
-
     p = sub.add_parser("moment", help="Monte Carlo mean of the rescaled sum vs theory")
     _add_family_flags(p)
     _add_common_flags(p)
@@ -106,7 +99,7 @@ def build_parser() -> _Parser:
 _DEFAULTS = {
     "family": "catalan", "gamma": 1.5, "c": 0.5, "pmf": None,
     "n": [1001], "R": 1000, "seed": None, "workers": None,
-    "alpha_prime": 1.0, "beta": 0.0, "toll": None, "p": [-1.0, 1.0, 2.0],
+    "alpha": 0.0, "alpha_prime": 1.0, "beta": 0.0, "toll": None, "p": [-1.0, 1.0, 2.0],
     "kappa": 0.5, "m": 10_000, "levels": 1024,
     "out": None, "json_out": None, "dump_excursion": None,
 }
@@ -216,14 +209,6 @@ def _dispatch(command: str, opts: dict) -> int:
             tree.to_csv(sys.stdout)
         return 0
 
-    if command == "functional":
-        model = _model_from(opts)
-        cfg = harness.ExperimentConfig(
-            mode=harness.MODE_MOMENT, model=model, sizes=[opts["n"][0]], replicates=2,
-            tolls=[TollFunction.power(opts["alpha_prime"] - 1.0, opts["beta"])],
-            master_seed=seed, workers=1)
-        return _emit(harness.run_moment(cfg), opts)
-
     if command == "moment":
         model = _model_from(opts)
         if opts.get("toll") and str(opts["toll"]).startswith("powerlog:"):
@@ -268,12 +253,10 @@ def _dispatch(command: str, opts: dict) -> int:
         return _emit(harness.run_tail_profile(cfg), opts)
 
     if command == "continuum":
-        alpha = opts["alpha"] if opts["alpha"] is not None else 0.0
-        beta = opts["beta"] if opts["beta"] is not None else 0.0
         cfg = harness.ExperimentConfig(
             mode=harness.MODE_CONTINUUM, replicates=opts["R"], kappa=opts["kappa"],
             m_grid=opts["m"], levels=opts["levels"],
-            tolls=[TollFunction.power(alpha, beta)], master_seed=seed, workers=workers)
+            tolls=[TollFunction.power(opts["alpha"], opts["beta"])], master_seed=seed, workers=workers)
         if opts["dump_excursion"]:
             from .continuum import sample_excursion
 

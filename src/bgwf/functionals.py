@@ -76,15 +76,6 @@ class TollFunction:
             return (self.alpha, self.beta)
         return None
 
-    @property
-    def mass_exponent(self) -> float | None:
-        """Low-mass power behavior for mass-only tolls (power-log included)."""
-        if self.kind == POWER and self.beta == 0.0:
-            return self.alpha
-        if self.kind == POWER_LOG:
-            return self.alpha  # |log x| is subpolynomial
-        return None
-
     def __call__(self, x, u) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)

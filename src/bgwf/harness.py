@@ -52,6 +52,12 @@ VERDICT_BOUNDARY = "boundary"
 
 MAX_DROP_FRACTION = 0.01
 
+# Phase-scan verdicts: a sequence diverges when every size step grows it by at
+# least DIVERGE_FACTOR per decade, and converges when its top-decade ratio is
+# within CONVERGE_BAND of 1.  Height moments use the same band for stability.
+DIVERGE_FACTOR = 1.5
+CONVERGE_BAND = 0.20
+
 # Largest llt_cost(n) that run_llt accepts, about 10 s of transforms.  On a
 # 2-core Intel Xeon the FFT path runs 0.42-0.56e9 of these multiply-adds per
 # second: n = 10^6 + 1 (2.3e9) takes 4.5 s, n = 2^20 - 1 (3.4e9) 8.2 s and
@@ -92,14 +98,12 @@ class ExperimentConfig:
     kappa: float = 0.5  # continuum mode without a discrete model
     m_grid: int = 10_000
     levels: int = DEFAULT_LEVELS
-    diverge_factor: float = 1.5
-    converge_band: float = 0.20
     max_attempts: int | None = None
 
     def __post_init__(self):
         if self.replicates < 2:
             raise ValueError("need at least 2 replicates")
-        if self.model is not None and self.mode != MODE_LLT:
+        if self.model is not None:
             snapped = [snap_to_support(self.model, n) for n in self.sizes]
             for want, got in zip(self.sizes, snapped):
                 if want != got:
@@ -189,7 +193,9 @@ def _map_ordered(fn, count: int, workers: int) -> list:
         return list(ex.map(fn, range(count), chunksize=chunk))
 
 
-def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
+def _mean_stderr(values: np.ndarray) -> tuple[float, float | None]:
+    if not len(values):
+        return math.nan, None
     mean = float(np.mean(values))
     if len(values) < 2:
         return mean, 0.0
@@ -252,6 +258,30 @@ class _ExcursionTask:
 # ---------------------------------------------------------------------------
 
 
+def _tree_ensemble(config: ExperimentConfig, n: int, tolls) -> tuple[np.ndarray, np.ndarray, int]:
+    """R conditioned trees of size n: toll values, rescaled heights and drops.
+
+    values has one row per kept tree and one column per toll, so it keeps two
+    axes when every tree was dropped; heights has one entry per kept tree.
+    """
+    task = _TreeTask(config.model, n, config.master_seed, tuple(tolls), config.max_attempts)
+    kept = [r for r in _map_ordered(task, config.replicates, config.workers) if r is not None]
+    values = np.array([r[0] for r in kept]).reshape(len(kept), len(tolls))
+    heights = np.array([r[1] for r in kept])
+    return values, heights, config.replicates - len(kept)
+
+
+def _row(mode, config, n, alpha_prime, beta, est, se, theory_value, drops) -> McRow:
+    """Report row of one estimate, with its z-score against theory_value."""
+    if mode == MODE_CONTINUUM:  # the simulated law is the Brownian one, whatever the model
+        law = ("brownian", 2.0, config.model.kappa if config.model is not None else config.kappa)
+    else:
+        law = (config.model.family, config.model.gamma, config.model.kappa)
+    z = (est - theory_value) / se if (theory_value is not None and se) else None
+    return McRow(mode, *law, n, config.replicates, alpha_prime, beta, est, se, theory_value, z,
+                 drops, config.master_seed)
+
+
 def _toll_theory(model: OffspringModel, toll: TollFunction, height_moments: dict) -> float | None:
     """Closed-form (gamma = 2) or simulation-calibrated (gamma < 2) theory value."""
     gamma, kappa = model.gamma, model.kappa
@@ -281,7 +311,7 @@ def run_moment(config: ExperimentConfig) -> McReport:
     """Mean of the rescaled sums over R trees per size, against theory values."""
     t0 = time.time()
     model = config.model
-    tolls = list(config.tolls) or [TollFunction.power(a - 1.0, config.beta) for a in config.alpha_primes]
+    tolls = list(config.tolls)
     for toll in tolls:
         exps = toll.exponents
         if exps is not None:
@@ -289,14 +319,7 @@ def run_moment(config: ExperimentConfig) -> McReport:
             if verdict.regime != theory.GLOBAL:
                 log.warning("toll %s is outside the global regime (margin %g); the sum diverges",
                             toll.label, verdict.margin)
-    per_n: dict[int, tuple] = {}
-    for n in config.sizes:
-        task = _TreeTask(model, n, config.master_seed, tuple(tolls), config.max_attempts)
-        results = _map_ordered(task, config.replicates, config.workers)
-        drops = sum(1 for r in results if r is None)
-        vals = np.array([r[0] for r in results if r is not None])
-        heights = np.array([r[1] for r in results if r is not None])
-        per_n[n] = (vals, heights, drops)
+    per_n = {n: _tree_ensemble(config, n, tolls) for n in config.sizes}
 
     # E[H^beta] estimates from the largest size, for gamma < 2 theory values
     n_max = max(config.sizes)
@@ -309,25 +332,20 @@ def run_moment(config: ExperimentConfig) -> McReport:
 
     rows = []
     for n in config.sizes:
-        vals, heights, drops = per_n[n]
+        vals, _, drops = per_n[n]
         for i, toll in enumerate(tolls):
-            est, se = _mean_stderr(vals[:, i]) if vals.size else (math.nan, None)
-            th = _toll_theory(model, toll, height_moments)
-            z = (est - th) / se if (th is not None and se) else None
             exps = toll.exponents
-            rows.append(
-                McRow(MODE_MOMENT, model.family, model.gamma, model.kappa, n,
-                      config.replicates, exps[0] + 1.0 if exps else None,
-                      exps[1] if exps else None, est, se, th, z, drops, config.master_seed)
-            )
+            rows.append(_row(MODE_MOMENT, config, n, exps[0] + 1.0 if exps else None,
+                             exps[1] if exps else None, *_mean_stderr(vals[:, i]),
+                             _toll_theory(model, toll, height_moments), drops))
     return McReport(rows, wall_time=time.time() - t0)
 
 
 def run_phase_scan(config: ExperimentConfig) -> McReport:
     """Growth-based convergence verdict per alpha', against the phase predicate.
 
-    Diverging: every consecutive size step grows by >= diverge_factor per
-    decade.  Converging: top-decade means within converge_band.  Otherwise
+    Diverging: every consecutive size step grows by >= DIVERGE_FACTOR per
+    decade.  Converging: top-decade means within CONVERGE_BAND.  Otherwise
     boundary.  A toll matches when the verdict agrees with the predicted
     regime (global -> converging, non-global -> diverging).
     """
@@ -336,15 +354,8 @@ def run_phase_scan(config: ExperimentConfig) -> McReport:
     if len(config.sizes) < 3 or max(config.sizes) < 10 * min(config.sizes):
         log.warning("phase scan wants >= 3 sizes spanning a decade; got %s", config.sizes)
     tolls = [TollFunction.power(a - 1.0, config.beta) for a in config.alpha_primes]
-    means: dict[tuple[int, int], tuple] = {}
-    drops_by_n = {}
-    for n in config.sizes:
-        task = _TreeTask(model, n, config.master_seed, tuple(tolls), config.max_attempts)
-        results = _map_ordered(task, config.replicates, config.workers)
-        drops_by_n[n] = sum(1 for r in results if r is None)
-        vals = np.array([r[0] for r in results if r is not None])
-        for i in range(len(tolls)):
-            means[(n, i)] = _mean_stderr(vals[:, i])
+    per_n = {n: _tree_ensemble(config, n, tolls) for n in config.sizes}
+    means = {(n, i): _mean_stderr(per_n[n][0][:, i]) for n in config.sizes for i in range(len(tolls))}
 
     rows = []
     verdicts = {}
@@ -357,9 +368,9 @@ def run_phase_scan(config: ExperimentConfig) -> McReport:
             decades = math.log10(n2 / n1)
             factors.append((m2 / m1) ** (1.0 / decades) if m1 > 0 else math.inf)
         top_ratio = seq[-1] / seq[-2] if seq[-2] else math.inf
-        if all(f >= config.diverge_factor for f in factors):
+        if all(f >= DIVERGE_FACTOR for f in factors):
             verdict = VERDICT_DIVERGING
-        elif abs(top_ratio - 1.0) <= config.converge_band:
+        elif abs(top_ratio - 1.0) <= CONVERGE_BAND:
             verdict = VERDICT_CONVERGING
         else:
             verdict = VERDICT_BOUNDARY
@@ -374,12 +385,8 @@ def run_phase_scan(config: ExperimentConfig) -> McReport:
         }
         checks.append((f"phase alpha'={aprime:g}", verdict == want))
         for n in sizes:
-            est, se = means[(n, i)]
-            rows.append(
-                McRow(MODE_PHASE, model.family, model.gamma, model.kappa, n,
-                      config.replicates, aprime, config.beta, est, se, None, None,
-                      drops_by_n[n], config.master_seed)
-            )
+            rows.append(_row(MODE_PHASE, config, n, aprime, config.beta, *means[(n, i)], None,
+                             per_n[n][2]))
     return McReport(rows, checks=checks, extras={"verdicts": verdicts}, wall_time=time.time() - t0)
 
 
@@ -531,37 +538,28 @@ def run_height_moments(config: ExperimentConfig) -> McReport:
     """Empirical p-th moments of (b_n/n) H(tree) across sizes.
 
     Rows use the beta column for p.  A moment is flagged (check fails) if it
-    grows by more than converge_band across the top decade of sizes, which
+    grows by more than CONVERGE_BAND across the top decade of sizes, which
     would contradict the uniform-boundedness of these moments.
     """
     t0 = time.time()
     model = config.model
-    heights_by_n = {}
-    drops_by_n = {}
-    for n in config.sizes:
-        task = _TreeTask(model, n, config.master_seed, (), config.max_attempts)
-        results = _map_ordered(task, config.replicates, config.workers)
-        drops_by_n[n] = sum(1 for r in results if r is None)
-        heights_by_n[n] = np.array([r[1] for r in results if r is not None])
+    per_n = {n: _tree_ensemble(config, n, ()) for n in config.sizes}
 
     rows = []
     checks = []
     sizes = sorted(config.sizes)
     for p in config.p_list:
-        per_n = {}
+        th = (2.0 * (math.pi / model.kappa) ** (p / 2.0) * theory.riemann_xi(p)
+              if model.gamma == 2.0 else None)
+        ests = []
         for n in sizes:
-            est, se = _mean_stderr(heights_by_n[n] ** p)
-            per_n[n] = est
-            th = 2.0 * (math.pi / model.kappa) ** (p / 2.0) * theory.riemann_xi(p) if model.gamma == 2.0 else None
-            z = (est - th) / se if (th is not None and se) else None
-            rows.append(
-                McRow(MODE_HEIGHT, model.family, model.gamma, model.kappa, n,
-                      config.replicates, None, p, est, se, th, z, drops_by_n[n],
-                      config.master_seed)
-            )
+            _, heights, drops = per_n[n]
+            est, se = _mean_stderr(heights ** p)
+            ests.append(est)
+            rows.append(_row(MODE_HEIGHT, config, n, None, p, est, se, th, drops))
         if len(sizes) >= 2:
-            growth = per_n[sizes[-1]] / per_n[sizes[-2]]
-            checks.append((f"height moment p={p:g} stable", growth <= 1.0 + config.converge_band))
+            growth = ests[-1] / ests[-2]
+            checks.append((f"height moment p={p:g} stable", growth <= 1.0 + CONVERGE_BAND))
     return McReport(rows, checks=checks, wall_time=time.time() - t0)
 
 
@@ -620,12 +618,8 @@ def run_tail_profile(config: ExperimentConfig) -> McReport:
     t0 = time.time()
     model = config.model
     n = max(config.sizes)
-    task = _TreeTask(model, n, config.master_seed, (), config.max_attempts)
-    results = _map_ordered(task, config.replicates, config.workers)
-    drops = sum(1 for r in results if r is None)
-    y = np.array([r[1] for r in results if r is not None])
+    _, y, drops = _tree_ensemble(config, n, ())
     R = len(y)
-    rows = []
     checks = []
     extras = {}
 
@@ -633,12 +627,8 @@ def run_tail_profile(config: ExperimentConfig) -> McReport:
     lo_q = max(0.002, 8 / max(R, 1))  # at least 8 samples beyond the window
     alpha_hat = _tail_fit(y, lo_q, 0.05, survival=False)
     beta_hat = _tail_fit(y, lo_q, 0.05, survival=True)
-    rows.append(McRow(MODE_TAIL, model.family, model.gamma, model.kappa, n, config.replicates,
-                      None, None, alpha_hat if alpha_hat is not None else math.nan,
-                      None, alpha_target, None, drops, config.master_seed))
-    rows.append(McRow(MODE_TAIL, model.family, model.gamma, model.kappa, n, config.replicates,
-                      None, None, beta_hat if beta_hat is not None else math.nan,
-                      None, model.gamma, None, drops, config.master_seed))
+    rows = [_row(MODE_TAIL, config, n, None, None, math.nan if fit is None else fit, None, target, drops)
+            for fit, target in ((alpha_hat, alpha_target), (beta_hat, model.gamma))]
     if alpha_hat is not None:
         checks.append(("lower tail exponent", abs(alpha_hat - alpha_target) <= 0.25 * alpha_target))
     if beta_hat is not None:
@@ -674,15 +664,10 @@ def run_continuum(config: ExperimentConfig) -> McReport:
     vals = np.array(results)
     rows = []
     for i, toll in enumerate(tolls):
-        est, se = _mean_stderr(vals[:, i])
         exps = toll.exponents
-        th = theory.brownian_moment(kappa, *exps) if exps is not None else None
-        z = (est - th) / se if (th is not None and se) else None
-        rows.append(
-            McRow(MODE_CONTINUUM, "brownian", 2.0, kappa, None, config.replicates,
-                  exps[0] + 1.0 if exps else None, exps[1] if exps else None,
-                  est, se, th, z, 0, config.master_seed)
-        )
+        rows.append(_row(MODE_CONTINUUM, config, None, exps[0] + 1.0 if exps else None,
+                         exps[1] if exps else None, *_mean_stderr(vals[:, i]),
+                         theory.brownian_moment(kappa, *exps) if exps is not None else None, 0))
     return McReport(rows, wall_time=time.time() - t0)
 
 

@@ -126,16 +126,6 @@ class OffspringModel:
 
     # -- sampling ------------------------------------------------------
 
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw iid offspring values; table lookup plus exact tail inversion."""
-        u = rng.random(size)
-        idx = np.searchsorted(self.table_cdf, u, side="right")
-        over = idx >= len(self.table_values)
-        out = self.table_values[np.minimum(idx, len(self.table_values) - 1)].copy()
-        if over.any():
-            out[over] = [self._tail_inverse(1.0 - ui) for ui in np.atleast_1d(u[over])]
-        return out
-
     def sample_above(self, q: float, size: int, rng: np.random.Generator) -> np.ndarray:
         """Draw iid values conditioned on falling in the top q of the law."""
         if size == 0:

@@ -184,17 +184,3 @@ def finiteness(gamma: float, alpha: float, beta: float) -> str:
     if not (1.0 < gamma <= 2.0):
         raise ValueError("gamma outside (1, 2]")
     return AS_FINITE if gamma * alpha + (gamma - 1.0) * (beta + 1.0) > 0.0 else AS_INFINITE
-
-
-def height_tail(gamma: float, kappa: float, x: float) -> float:
-    """Excursion-measure tail of the height: (kappa (gamma-1) x)^(-1/(gamma-1))."""
-    if x <= 0.0:
-        raise ValueError("x must be positive")
-    return (kappa * (gamma - 1.0) * x) ** (-1.0 / (gamma - 1.0))
-
-
-def duration_density(gamma: float, kappa: float, x: float) -> float:
-    """Excursion-measure density of the duration: g(0) x^(-1-1/gamma)."""
-    if x <= 0.0:
-        raise ValueError("x must be positive")
-    return g0(gamma, kappa) * x ** (-1.0 - 1.0 / gamma)

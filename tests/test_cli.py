@@ -149,13 +149,15 @@ def test_auto_seed_printed(capsys):
 
 
 def test_continuum_command(capsys):
-    code, out, _ = run_cli(
-        ["continuum", "--R", "30", "--m", "500", "--levels", "128",
-         "--alpha", "0", "--beta", "0", "--seed", "3"], capsys)
-    assert code == 0
-    header, row = out.strip().splitlines()
-    cells = dict(zip(header.split(","), row.split(",")))
-    assert float(cells["theory"]) == pytest.approx(1.253314, abs=1e-5)
+    # the default toll is x^0 u^0, with or without --alpha and --beta
+    for toll_flags in (["--alpha", "0", "--beta", "0"], []):
+        code, out, _ = run_cli(
+            ["continuum", "--R", "30", "--m", "500", "--levels", "128", "--seed", "3"] + toll_flags,
+            capsys)
+        assert code == 0
+        header, row = out.strip().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert float(cells["theory"]) == pytest.approx(1.253314, abs=1e-5)
 
 
 def test_csv_out_file(tmp_path, capsys):

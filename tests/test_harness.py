@@ -311,14 +311,25 @@ def test_csv_schema_and_json_mirror(tmp_path):
     assert path.read_text() == text
 
 
-def test_determinism_across_worker_counts():
-    tolls = [TollFunction.power(0, 0), TollFunction.power(1, 0)]
-    reports = []
-    for workers in (1, 2):
-        cfg = ExperimentConfig(mode=MODE_MOMENT, model=geometric_model(), sizes=[51],
-                               replicates=40, tolls=tolls, master_seed=37, workers=workers)
-        reports.append(run_moment(cfg).to_csv())
-    assert reports[0] == reports[1]
+_TOLLS_1_X = [TollFunction.power(0, 0), TollFunction.power(1, 0)]
+
+
+@pytest.mark.parametrize("run, kwargs", [
+    (run_moment, dict(mode=MODE_MOMENT, model=geometric_model(), sizes=[51], replicates=40,
+                      tolls=_TOLLS_1_X)),
+    (run_phase_scan, dict(mode=MODE_PHASE, model=geometric_model(), sizes=[11, 101, 1001],
+                          replicates=20, alpha_primes=[0.25, 1.5])),
+    (run_height_moments, dict(mode=MODE_HEIGHT, model=geometric_model(), sizes=[51, 501],
+                              replicates=40, p_list=[-1.0, 1.0, 2.0])),
+    (run_tail_profile, dict(mode=MODE_TAIL, model=geometric_model(), sizes=[201], replicates=400)),
+    (run_continuum, dict(mode=MODE_CONTINUUM, replicates=20, m_grid=500, levels=128,
+                         tolls=_TOLLS_1_X)),
+], ids=["moment", "phase-scan", "height-moments", "tail", "continuum"])
+def test_determinism_across_worker_counts(run, kwargs):
+    reports = [run(ExperimentConfig(master_seed=37, workers=workers, **kwargs)) for workers in (1, 2)]
+    assert reports[0].to_csv() == reports[1].to_csv()
+    assert reports[0].checks == reports[1].checks
+    assert reports[0].extras == reports[1].extras
 
 
 def test_drop_accounting_marks_invalid():
@@ -328,6 +339,18 @@ def test_drop_accounting_marks_invalid():
     rep = run_moment(cfg)
     assert rep.rows[0].drops > 0
     assert rep.invalid and rep.exit_code() == 3
+
+
+def test_phase_scan_with_every_tree_dropped_is_invalid():
+    # stable gamma = 1.2 accepts far fewer than one degree sequence per attempt
+    # at n >= 1000, so one attempt keeps no tree there
+    cfg = ExperimentConfig(mode=MODE_PHASE, model=make_stable_family(1.2, 0.5),
+                           sizes=[100, 1000, 10_000], replicates=3, alpha_primes=[0.4, 0.9],
+                           master_seed=0, max_attempts=1)
+    rep = run_phase_scan(cfg)
+    assert rep.exit_code() == 3
+    empty = [r for r in rep.rows if r.drops == 3]
+    assert empty and all(math.isnan(r.estimate) and r.stderr is None for r in empty)
 
 
 def test_selftest_passes():

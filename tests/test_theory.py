@@ -12,10 +12,8 @@ from bgwf.theory import (
     InfiniteMomentError,
     MomentSpec,
     brownian_moment,
-    duration_density,
     finiteness,
     g0,
-    height_tail,
     mass_only_moment,
     max_excursion_moment,
     phase_regime,
@@ -153,16 +151,3 @@ def test_finiteness_phase_equivalence():
         beta = float(rng.uniform(-4.0, 4.0))
         is_global = phase_regime(gamma, aprime, beta).regime == GLOBAL
         assert (finiteness(gamma, aprime - 1.0, beta) == AS_FINITE) == is_global
-
-
-def test_height_tail_examples():
-    assert height_tail(2.0, 0.5, 1.0) == pytest.approx(2.0, abs=1e-14)
-    assert height_tail(2.0, 0.5, 2.0) == pytest.approx(1.0, abs=1e-14)
-    for x in (0.5, 1.0, 3.0):
-        assert height_tail(1.5, 1.0, x) == pytest.approx((x / 2.0) ** -2, rel=1e-13)
-
-
-def test_duration_density_examples():
-    assert duration_density(2.0, 0.5, 1.0) == pytest.approx(0.3989422804, rel=1e-9)
-    assert duration_density(2.0, 0.5, 4.0) == pytest.approx(0.3989422804 / 8, rel=1e-9)
-    assert duration_density(2.0, 0.5, 1e9) < 1e-13
