@@ -230,6 +230,10 @@ def _dispatch(command: str, opts: dict) -> int:
             alpha_primes=list(aprimes), beta=opts["beta"], master_seed=seed, workers=workers)
         report = harness.run_phase_scan(cfg)
         for aprime, v in report.extras["verdicts"].items():
+            if v["verdict"] is None:
+                empty = ", ".join(map(str, v["empty_sizes"]))
+                print(f"# alpha'={aprime:g}: no verdict (n={empty} kept no tree)", file=sys.stderr)
+                continue
             print(f"# alpha'={aprime:g}: {v['verdict']} (predicted {v['predicted_regime']}, "
                   f"margin {v['margin']:+g})", file=sys.stderr)
         return _emit(report, opts)

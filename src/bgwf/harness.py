@@ -347,7 +347,8 @@ def run_phase_scan(config: ExperimentConfig) -> McReport:
     Diverging: every consecutive size step grows by >= DIVERGE_FACTOR per
     decade.  Converging: top-decade means within CONVERGE_BAND.  Otherwise
     boundary.  A toll matches when the verdict agrees with the predicted
-    regime (global -> converging, non-global -> diverging).
+    regime (global -> converging, non-global -> diverging).  A scan with a
+    size that kept no tree has no verdict (None), and no toll matches.
     """
     t0 = time.time()
     model = config.model
@@ -361,6 +362,7 @@ def run_phase_scan(config: ExperimentConfig) -> McReport:
     verdicts = {}
     checks = []
     sizes = sorted(config.sizes)
+    empty = [n for n in sizes if not len(per_n[n][0])]
     for i, aprime in enumerate(config.alpha_primes):
         seq = [means[(n, i)][0] for n in sizes]
         factors = []
@@ -368,7 +370,9 @@ def run_phase_scan(config: ExperimentConfig) -> McReport:
             decades = math.log10(n2 / n1)
             factors.append((m2 / m1) ** (1.0 / decades) if m1 > 0 else math.inf)
         top_ratio = seq[-1] / seq[-2] if seq[-2] else math.inf
-        if all(f >= DIVERGE_FACTOR for f in factors):
+        if empty:
+            verdict = None
+        elif all(f >= DIVERGE_FACTOR for f in factors):
             verdict = VERDICT_DIVERGING
         elif abs(top_ratio - 1.0) <= CONVERGE_BAND:
             verdict = VERDICT_CONVERGING
@@ -382,6 +386,7 @@ def run_phase_scan(config: ExperimentConfig) -> McReport:
             "margin": predicted.margin,
             "growth_factors_per_decade": factors,
             "match": verdict == want,
+            "empty_sizes": empty,
         }
         checks.append((f"phase alpha'={aprime:g}", verdict == want))
         for n in sizes:

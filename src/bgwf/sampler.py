@@ -9,8 +9,10 @@ positive support value, an attempt draws the number M of values outside
 {0, j} from a tilted binomial law and those M values directly; the sum then
 forces the number of j's, which is kept with a binomial probability ratio.
 Annotation (parents, subtree sizes, subtree heights, depths) uses no
-recursion, so sizes up to 10^6 are safe: two Python loops for small trees,
-numpy on the Lukasiewicz path for the others.
+recursion, so sizes up to 10^6 are safe.  Trees below TREE_NUMPY_MIN = 120
+vertices are rotated, annotated and checked as Python lists, by two loops,
+and their rows built by one numpy call; larger trees go through numpy on
+the Lukasiewicz path.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import count
 from math import lgamma
 
 import numpy as np
@@ -84,11 +87,19 @@ class AnnotatedTree:
         return sizes, heights
 
     def validate(self) -> None:
-        """Check all structural invariants; raises ValueError on violation."""
+        """Check all structural invariants; raises ValueError on violation.
+
+        Trees below TREE_NUMPY_MIN are checked on Python lists (_check_rows),
+        larger ones in numpy; both test the same invariants.
+        """
         n = self.n
+        if n < TREE_NUMPY_MIN:
+            _check_rows(self.degree.tolist(), self.parent.tolist(), self.subtree_size.tolist(),
+                        self.subtree_height.tolist(), self.depth.tolist())
+            return
         children = self.parent[1:]
         # count_nonzero instead of .any(): the sampler validates every tree,
-        # and for small trees the per-call overhead is most of the cost
+        # and near TREE_NUMPY_MIN the per-call overhead is much of the cost
         if self.degree.sum() != n - 1:
             raise ValueError("degree sum != n - 1")
         if self.parent[0] != -1 or np.count_nonzero(children < 0):
@@ -123,6 +134,8 @@ class AnnotatedTree:
 
 # The default attempt budget gives up fewer than this share of the trees.
 DROP_SHARE = 1e-9
+# The default attempt budget is never below this count.
+MIN_ATTEMPTS = 1000
 
 
 @lru_cache(maxsize=32)
@@ -172,7 +185,7 @@ def default_attempt_budget(model: OffspringModel, n: int) -> int:
     DROP_SHARE for any rate above 0.021.
     """
     rate = 0.5 * predicted_acceptance_rate(model, n)
-    return max(1000, math.ceil(math.log(DROP_SHARE) / math.log1p(-rate)))
+    return max(MIN_ATTEMPTS, math.ceil(math.log(DROP_SHARE) / math.log1p(-rate)))
 
 
 def sample_degree_sequence(
@@ -188,6 +201,10 @@ def sample_degree_sequence(
     probability Bin(n - M, r)(N_j) / h(n - M).  Kept multisets have exactly
     the conditional law, and arranging one uniformly gives the conditional
     law of the iid sequence, by exchangeability.
+
+    Without max_attempts the default budget is computed only once
+    MIN_ATTEMPTS attempts have failed, since it is never smaller; a
+    multinomial of zero draws is skipped, since it consumes no random state.
     """
     if not support_contains(model, n):
         raise ValueError(f"size {n} is not in the support of the conditioned tree")
@@ -199,15 +216,22 @@ def sample_degree_sequence(
         degrees = values.repeat([n - k, k])
         rng.shuffle(degrees)
         return degrees
-    budget = max_attempts if max_attempts is not None else default_attempt_budget(model, n)
+    budget = max_attempts if max_attempts is not None else MIN_ATTEMPTS
     lo, cdf, _ = _tilt(n, split.rest, r)
     log_odds = math.log(r) - math.log1p(-r)
     tail_frac = split.tail_q / split.rest  # share of the M draws above the table
-    for _ in range(budget):
+    for attempt in count():
+        if attempt == MIN_ATTEMPTS and max_attempts is None:
+            budget = default_attempt_budget(model, n)
+        if attempt >= budget:
+            raise BudgetExhausted(n, budget, predicted_acceptance_rate(model, n))
         m = lo + bisect_right(cdf, rng.random())
         t_count = int(rng.binomial(m, tail_frac)) if tail_frac and m else 0
-        counts = rng.multinomial(m - t_count, probs)
-        rem = n - 1 - int(counts.dot(values[2:]))
+        table_count = m - t_count  # draws from the table, by one multinomial
+        rem = n - 1
+        if table_count:
+            counts = rng.multinomial(table_count, probs)
+            rem -= int(counts.dot(values[2:]))
         if t_count:
             tail_vals = model.sample_above(split.tail_q, t_count, rng)
             rem -= int(tail_vals.sum())
@@ -220,12 +244,14 @@ def sample_degree_sequence(
                 lgamma(mode + 1) + lgamma(big - mode + 1) - lgamma(k + 1) - lgamma(big - k + 1)
                 + (k - mode) * log_odds):
             continue
-        degrees = values.repeat(np.concatenate(([big - k, k], counts)))
+        if table_count:
+            degrees = values.repeat(np.concatenate(([big - k, k], counts)))
+        else:
+            degrees = values[:2].repeat([big - k, k])
         if t_count:
             degrees = np.concatenate([degrees, tail_vals])
         rng.shuffle(degrees)
         return degrees
-    raise BudgetExhausted(n, budget, predicted_acceptance_rate(model, n))
 
 
 def cycle_rotate(degrees: np.ndarray) -> int:
@@ -243,12 +269,25 @@ def cycle_rotate(degrees: np.ndarray) -> int:
     return (int(walk.argmin()) + 1) % n
 
 
-# Below this size the Python loops of _annotate_loop beat _annotate_lukasiewicz,
-# whose cost at small n is numpy's per-call overhead.  Per tree on a 2-vCPU
-# Intel Xeon VM (Catalan and geometric trees, three runs): at n=127 the loop
-# takes 59-88 us and numpy 76-93 us; at n=255, 111-166 us against 80-134 us;
-# at n=1..7, 2-5 us against 45-50 us.
-ANNOTATE_NUMPY_MIN = 160
+def _rotation(deg: list) -> int:
+    """cycle_rotate on a list of Python ints."""
+    low = walk = r = 0
+    for i, d in enumerate(deg, 1):
+        walk += d - 1
+        if walk < low:  # the walk ends at -1, so strict < keeps its first minimum
+            low, r = walk, i
+    if walk != -1:
+        raise ValueError("degree sequence does not sum to n - 1")
+    return r % len(deg)
+
+
+# Trees below this size are rotated, annotated and checked on Python lists,
+# larger ones in numpy, whose per-call overhead is most of the cost of a
+# small tree.  Time per sample_conditioned call, lists against numpy, on a
+# 2-vCPU Intel Xeon VM (Catalan, geometric and stable gamma=1.5 trees,
+# medians of nine runs): 0.55-0.62 at n=48, 0.88-0.94 at n=96, 0.93-1.05
+# at n=112, 1.01-1.06 at n=128, 1.20-1.27 at n=160.
+TREE_NUMPY_MIN = 120
 
 
 def range_max(values: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -274,7 +313,7 @@ def range_max(values: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.n
     return top
 
 
-def _annotate_loop(degree: np.ndarray) -> np.ndarray:
+def _annotate_loop(deg: list) -> tuple[list, list, list, list]:
     """Rows parent, subtree size, subtree height, depth, by two Python loops.
 
     One forward pass (explicit stack) fills parents and depths; one reverse
@@ -283,8 +322,7 @@ def _annotate_loop(degree: np.ndarray) -> np.ndarray:
     the stack of open child slots never empties before the last vertex and
     has no open slot left after it.
     """
-    n = degree.size
-    deg = degree.tolist()
+    n = len(deg)
     par = [-1] * n
     dep = [0] * n
     stack_v = [0]
@@ -313,7 +351,34 @@ def _annotate_loop(degree: np.ndarray) -> np.ndarray:
         h = height[i] + 1
         if h > height[p]:
             height[p] = h
-    return np.array([par, size, height, dep], dtype=np.int64)
+    return par, size, height, dep
+
+
+def _check_rows(deg: list, par: list, size: list, height: list, dep: list) -> None:
+    """The invariants of AnnotatedTree.validate, on Python lists."""
+    n = len(deg)
+    if sum(deg) != n - 1:
+        raise ValueError("degree sum != n - 1")
+    children = par[1:]
+    if par[0] != -1 or (children and not 0 <= min(children) <= max(children) < n):
+        raise ValueError("bad parent array")
+    if size[0] != n:
+        raise ValueError("root subtree size != n")
+    child_sum = [1] * n
+    hmax = [0] * n
+    for i, p in enumerate(children, 1):
+        child_sum[p] += size[i]
+        h = height[i] + 1
+        if h > hmax[p]:
+            hmax[p] = h
+    if child_sum != size:
+        raise ValueError("subtree sizes inconsistent")
+    if [dep[p] + 1 for p in children] != dep[1:]:
+        raise ValueError("depths inconsistent")
+    if hmax != height:
+        raise ValueError("subtree heights inconsistent")
+    if [d > 0 for d in deg] != [s > 1 for s in size]:
+        raise ValueError("internal-vertex characterizations disagree")
 
 
 def _annotate_lukasiewicz(degree: np.ndarray) -> np.ndarray:
@@ -352,17 +417,28 @@ def _annotate_lukasiewicz(degree: np.ndarray) -> np.ndarray:
     return stats
 
 
+def _tree_from_rows(deg: list, rows: tuple[list, list, list, list]) -> AnnotatedTree:
+    """AnnotatedTree whose five fields are the rows of one read-only block."""
+    block = np.array((deg, *rows), dtype=np.int64)
+    block.setflags(write=False)
+    degree, parent, size, height, depth = block
+    return AnnotatedTree(n=len(deg), parent=parent, degree=degree, subtree_size=size,
+                         subtree_height=height, depth=depth)
+
+
 def build_and_annotate(degrees: np.ndarray) -> AnnotatedTree:
     """Tree from a valid depth-first degree sequence, annotated in O(n log n).
 
-    Small trees go through Python loops, larger ones through numpy on the
-    Lukasiewicz path (ANNOTATE_NUMPY_MIN); both raise ValueError on an
+    Trees below TREE_NUMPY_MIN go through Python loops on lists, larger
+    ones through numpy on the Lukasiewicz path; both raise ValueError on an
     invalid sequence.
     """
     degree = np.ascontiguousarray(degrees, dtype=np.int64)
-    annotate = _annotate_loop if degree.size < ANNOTATE_NUMPY_MIN else _annotate_lukasiewicz
+    if degree.size < TREE_NUMPY_MIN:
+        deg = degree.tolist()
+        return _tree_from_rows(deg, _annotate_loop(deg))
     # one read-only block; its rows are read-only views
-    stats = annotate(degree)
+    stats = _annotate_lukasiewicz(degree)
     stats.setflags(write=False)
     degree.setflags(write=False)
     return AnnotatedTree(n=degree.size, parent=stats[0], degree=degree, subtree_size=stats[1],
@@ -372,8 +448,20 @@ def build_and_annotate(degrees: np.ndarray) -> AnnotatedTree:
 def sample_conditioned(
     model: OffspringModel, n: int, rng: np.random.Generator, max_attempts: int | None = None
 ) -> AnnotatedTree:
-    """Exact sample of the BGW tree conditioned to have n vertices."""
+    """Exact sample of the BGW tree conditioned to have n vertices.
+
+    Below TREE_NUMPY_MIN the sequence is rotated, annotated and checked as
+    one Python list, and the tree's rows are built by one numpy call.
+    """
     degrees = sample_degree_sequence(model, n, rng, max_attempts)
+    if n < TREE_NUMPY_MIN:
+        deg = degrees.tolist()
+        r = _rotation(deg)
+        deg = deg[r:] + deg[:r]
+        rows = _annotate_loop(deg)
+        if __debug__:
+            _check_rows(deg, *rows)
+        return _tree_from_rows(deg, rows)
     r = cycle_rotate(degrees)
     tree = build_and_annotate(np.concatenate((degrees[r:], degrees[:r])))
     if __debug__:

@@ -93,7 +93,7 @@ def test_criterion_2_continuum_discrete_agreement(catalan_acceptance_report,
         "the discrete estimator at n=10001 carries a finite-size bias "
         "(about -4% to -5% for the height toll) that the m=10^4 excursion estimator "
         "does not share (about -1.4%), while the joint 95% band at R=10^4 is "
-        "about +-1.3%; see ROADMAP.md, direction E, for the analysis"
+        "about +-1.3%; see ROADMAP.md, direction B, for the analysis"
     )
 
 

@@ -341,7 +341,7 @@ def test_drop_accounting_marks_invalid():
     assert rep.invalid and rep.exit_code() == 3
 
 
-def test_phase_scan_with_every_tree_dropped_is_invalid():
+def test_phase_scan_with_every_tree_dropped_is_invalid(monkeypatch, capsys):
     # stable gamma = 1.2 accepts far fewer than one degree sequence per attempt
     # at n >= 1000, so one attempt keeps no tree there
     cfg = ExperimentConfig(mode=MODE_PHASE, model=make_stable_family(1.2, 0.5),
@@ -351,6 +351,26 @@ def test_phase_scan_with_every_tree_dropped_is_invalid():
     assert rep.exit_code() == 3
     empty = [r for r in rep.rows if r.drops == 3]
     assert empty and all(math.isnan(r.estimate) and r.stderr is None for r in empty)
+    assert sorted({r.n for r in empty}) == [1000, 10_000]
+    for v in rep.extras["verdicts"].values():
+        assert v["verdict"] is None and v["match"] is False
+        assert v["empty_sizes"] == [1000, 10_000]
+    assert [ok for _, ok in rep.checks] == [False, False]
+
+    # the same scan through the CLI, whose trees get one attempt each
+    from bgwf.cli import main
+    from bgwf.sampler import sample_conditioned
+
+    monkeypatch.setattr(harness, "sample_conditioned",
+                        lambda model, n, rng, max_attempts=None: sample_conditioned(model, n, rng, 1))
+    code = main(["phase-scan", "--family", "stable", "--gamma", "1.2", "--c", "0.5", "--n", "100",
+                 "1000", "10000", "--R", "3", "--alpha-prime", "0.4", "0.9", "--seed", "0",
+                 "--workers", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    for aprime in ("0.4", "0.9"):
+        assert f"# alpha'={aprime}: no verdict (n=1000, 10000 kept no tree)" in err
+    assert "boundary" not in err
 
 
 def test_selftest_passes():

@@ -10,12 +10,15 @@ from conftest import enumerate_tree_law, rng_for
 
 from bgwf.harness import exact_walk_law
 from bgwf.offspring import catalan_model, geometric_model, make_stable_family
+from bgwf import sampler
 from bgwf.sampler import (
-    ANNOTATE_NUMPY_MIN,
     DROP_SHARE,
+    MIN_ATTEMPTS,
+    TREE_NUMPY_MIN,
     BudgetExhausted,
     _annotate_loop,
     _annotate_lukasiewicz,
+    _rotation,
     build_and_annotate,
     cycle_rotate,
     default_attempt_budget,
@@ -94,25 +97,34 @@ def test_build_and_annotate_examples():
     assert single.height == 0
 
 
-def test_validate_detects_each_broken_invariant():
+@pytest.mark.parametrize("n", [4, TREE_NUMPY_MIN + 40], ids=["lists", "numpy"])
+def test_validate_detects_each_broken_invariant(n):
     import dataclasses
 
-    tree = build_and_annotate(np.array([2, 1, 0, 0]))
+    # a root with children 1 and 3; vertex 1 has the leaf 2, vertex 3 starts
+    # a path down to the last vertex.  validate checks trees below
+    # TREE_NUMPY_MIN on lists, the others in numpy.
+    tree = build_and_annotate(np.array([2, 1, 0] + [1] * (n - 4) + [0]))
     tree.validate()
-    assert list(tree.parent) == [-1, 0, 1, 0]
-    broken = {
-        "degree sum": dict(degree=[2, 1, 1, 0]),
-        "bad parent": dict(parent=[-1, 0, -1, 0]),
-        "root subtree size": dict(subtree_size=[5, 2, 1, 1]),
-        "subtree sizes": dict(subtree_size=[4, 3, 1, 1]),
-        "depths": dict(depth=[0, 1, 1, 1]),
-        "subtree heights": dict(subtree_height=[2, 2, 0, 0]),
-        "internal-vertex": dict(degree=[3, 0, 0, 0]),
+    assert list(tree.parent[:4]) == [-1, 0, 1, 0]
+    broken = {  # field -> {vertex: wrong value}, one invariant broken each
+        "degree sum": dict(degree={2: 1}),
+        "bad parent": dict(parent={2: -1}),
+        "root subtree size": dict(subtree_size={0: n + 1}),
+        "subtree sizes": dict(subtree_size={1: 3}),
+        "depths": dict(depth={2: 1}),
+        "subtree heights": dict(subtree_height={1: 2}),
+        "internal-vertex": dict(degree={0: 3, 1: 0}),
     }
     for message, fields in broken.items():
-        bad = dataclasses.replace(tree, **{k: np.array(v) for k, v in fields.items()})
+        changed = {}
+        for field, edits in fields.items():
+            row = getattr(tree, field).copy()
+            for i, v in edits.items():
+                row[i] = v
+            changed[field] = row
         with pytest.raises(ValueError, match=message):
-            bad.validate()
+            dataclasses.replace(tree, **changed).validate()
 
 
 def test_build_rejects_invalid_sequences():
@@ -124,19 +136,18 @@ def test_build_rejects_invalid_sequences():
 
 @pytest.mark.parametrize("annotate", [_annotate_loop, _annotate_lukasiewicz, build_and_annotate])
 def test_both_annotation_paths_reject_invalid_sequences(annotate):
-    big = ANNOTATE_NUMPY_MIN + 40
     invalid = [
         [0, 2, 0],  # hits -1 too early
         [1, 1, 1],  # never closes
-        [0, 2] + [1] * (big - 3) + [0],
-        [1] * big,
         # degree sum n-1 and a path that stays >= 0, but one degree is negative
         [4, -1, 1, 0, 0],
-        [big, -1] + [0] * (big - 2),
     ]
+    for n in (TREE_NUMPY_MIN - 1, TREE_NUMPY_MIN, TREE_NUMPY_MIN + 40):
+        invalid += [[0, 2] + [1] * (n - 3) + [0], [1] * n, [n, -1] + [0] * (n - 2)]
     for degrees in invalid:
         with pytest.raises(ValueError):
-            annotate(np.array(degrees, dtype=np.int64))
+            # _annotate_loop takes a list
+            annotate(degrees if annotate is _annotate_loop else np.array(degrees, dtype=np.int64))
 
 
 @st.composite
@@ -154,7 +165,22 @@ def valid_degree_sequences(draw):
 @given(valid_degree_sequences())
 def test_lukasiewicz_annotation_equals_loop(degrees):
     # rows: parent, subtree size, subtree height, depth
-    np.testing.assert_array_equal(_annotate_lukasiewicz(degrees), _annotate_loop(degrees))
+    np.testing.assert_array_equal(_annotate_lukasiewicz(degrees), _annotate_loop(degrees.tolist()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_list_rotation_equals_cycle_rotate(data):
+    # any nonnegative degrees summing to n-1, in any order
+    n = data.draw(st.integers(1, 300))
+    slots = data.draw(st.lists(st.integers(0, n - 1), min_size=n - 1, max_size=n - 1))
+    degrees = np.bincount(np.array(slots, dtype=np.int64), minlength=n)
+    assert _rotation(degrees.tolist()) == cycle_rotate(degrees)
+    for bad in ([0, 0], [2, 0, 1]):  # degree sum != n - 1
+        with pytest.raises(ValueError):
+            _rotation(bad)
+        with pytest.raises(ValueError):
+            cycle_rotate(np.array(bad))
 
 
 @settings(max_examples=300, deadline=None)
@@ -255,6 +281,65 @@ def test_default_budget_covers_predicted_rate():
         budget = default_attempt_budget(model, n)
         assert budget >= 1000
         assert (1.0 - rate / 2.0) ** budget < DROP_SHARE
+
+
+def test_default_budget_is_at_least_the_floor():
+    # sample_degree_sequence computes the default budget only once
+    # MIN_ATTEMPTS attempts have failed; that is the same budget only if it
+    # is never below the floor
+    from bgwf.offspring import support_contains
+
+    for model in (catalan_model(), geometric_model(), make_stable_family(1.5, 0.5),
+                  make_stable_family(1.2, 0.5)):
+        for n in range(1, 1002):
+            if support_contains(model, n):
+                assert default_attempt_budget(model, n) >= MIN_ATTEMPTS == 1000
+
+
+def test_default_budget_is_computed_only_after_the_floor(monkeypatch):
+    calls = []
+
+    def budget(model, n):
+        calls.append(n)
+        return MIN_ATTEMPTS + 5
+
+    monkeypatch.setattr(sampler, "default_attempt_budget", budget)
+    geo = geometric_model()
+    for j in range(200):
+        sample_degree_sequence(geo, 5, rng_for(1, j))
+    assert calls == []
+    # stable gamma=1.05 at n=10^4 accepts about 1 attempt in 2200.  A run asks
+    # for the budget once, after MIN_ATTEMPTS failed attempts, or not at all;
+    # either way it ends as the call given that budget explicitly does
+    model, n = make_stable_family(1.05, 0.9), 10_000
+    asked = []
+    for j in range(4):
+        outcomes = []
+        for max_attempts in (None, MIN_ATTEMPTS + 5):
+            calls.clear()
+            rng = rng_for(2, j)
+            try:
+                outcomes.append(sample_degree_sequence(model, n, rng, max_attempts).tolist())
+            except BudgetExhausted as err:
+                outcomes.append(err.attempts)
+            outcomes.append(rng.bit_generator.state)
+            if max_attempts is None:
+                asked.append(calls == [n])
+            else:
+                assert calls == []
+        assert outcomes[:2] == outcomes[2:]
+    assert any(asked) and not all(asked)  # both branches ran
+
+
+def test_multinomial_of_zero_draws_consumes_no_state():
+    # sample_degree_sequence skips a multinomial with nothing to draw, which
+    # leaves the stream unchanged only if such a call consumes no state
+    rng = np.random.default_rng(5)
+    rng.random()
+    for model in (geometric_model(), make_stable_family(1.5, 0.5), make_stable_family(1.2, 0.5)):
+        state = rng.bit_generator.state
+        assert not rng.multinomial(0, model.split.other_probs).any()
+        assert rng.bit_generator.state == state
 
 
 def test_degree_counts_match_exact_finite_n_means():

@@ -28,8 +28,10 @@ TOLLS = [TollFunction.power(0, 0), TollFunction.power(0, 1), TollFunction.power_
     (run_moment,
      ExperimentConfig(mode=MODE_MOMENT, model=catalan_model(), sizes=[11, 201], replicates=6,
                       tolls=TOLLS, master_seed=3),
+     # sample_conditioned rotates and annotates the n=11 trees on lists, below
+     # TREE_NUMPY_MIN, without calling cycle_rotate or build_and_annotate
      {"harness.rng": 12, "sampler.sample_conditioned": 12, "sampler.degree_sequence": 12,
-      "sampler.rotate": 12, "sampler.annotate": 12, "functionals.tolls": 36}),
+      "sampler.rotate": 6, "sampler.annotate": 6, "functionals.tolls": 36}),
     (run_continuum,
      ExperimentConfig(mode=MODE_CONTINUUM, replicates=5, m_grid=400, levels=64,
                       tolls=TOLLS[:2], master_seed=3),
