@@ -41,7 +41,6 @@ from .functionals import (
     mass_bound_check,
 )
 from .theory import (
-    MomentSpec,
     PhaseVerdict,
     InfiniteMomentError,
     g0,

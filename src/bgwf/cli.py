@@ -138,6 +138,8 @@ def _model_from(opts: dict):
     if family == "stable":
         return make_stable_family(opts["gamma"], opts["c"])
     if family == "pmf":
+        if not opts["pmf"]:
+            raise OffspringError("--family pmf needs --pmf k:p,...")
         pairs = [kv.split(":") for kv in opts["pmf"].split(",")]
         return make_finite_variance({int(k): float(v) for k, v in pairs})
     raise SystemExit(USAGE_ERROR)

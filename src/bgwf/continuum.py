@@ -173,6 +173,8 @@ def level_decomposition(exc: Excursion, levels: int = DEFAULT_LEVELS):
     crossings do not pair, i.e. the path does not start and end below the
     lowest level.
     """
+    if levels < 1:
+        raise ValueError("need levels >= 1")
     v = np.asarray(exc.values, dtype=float)
     m = exc.m
     vmax = float(v.max())

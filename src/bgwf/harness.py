@@ -283,28 +283,30 @@ def _row(mode, config, n, alpha_prime, beta, est, se, theory_value, drops) -> Mc
 
 
 def _toll_theory(model: OffspringModel, toll: TollFunction, height_moments: dict) -> float | None:
-    """Closed-form (gamma = 2) or simulation-calibrated (gamma < 2) theory value."""
+    """Closed-form (gamma = 2) or simulation-calibrated (gamma < 2) theory value.
+
+    None when the moment is infinite, when the toll has no theory, and when
+    gamma < 2 and E[H^beta] has no estimate.
+    """
     gamma, kappa = model.gamma, model.kappa
     exps = toll.exponents
-    if exps is not None:
+    try:
+        if exps is None:
+            if toll.kind != "power-log":
+                return None
+            return theory.mass_only_moment(
+                gamma, kappa, lambda x: abs(math.log(x)) * x ** toll.alpha, toll.alpha)
         alpha, beta = exps
-        if theory.finiteness(gamma, alpha, beta) == theory.AS_INFINITE:
-            return None
         if gamma == 2.0:
             return theory.brownian_moment(kappa, alpha, beta)
         hm = height_moments.get(beta)
         if hm is None:
             return None
-        log.info("theory value for %s is simulation-calibrated (E[H^%g] estimated)", toll.label, beta)
-        return theory.stable_moment(theory.MomentSpec(gamma, kappa, alpha, beta), hm)
-    if toll.kind == "power-log":
-        try:
-            return theory.mass_only_moment(
-                gamma, kappa, lambda x: abs(math.log(x)) * x ** toll.alpha, power_exponent=toll.alpha
-            )
-        except theory.InfiniteMomentError:
-            return None
-    return None
+        value = theory.stable_moment(gamma, kappa, alpha, beta, hm)
+    except theory.InfiniteMomentError:
+        return None
+    log.info("theory value for %s is simulation-calibrated (E[H^%g] estimated)", toll.label, beta)
+    return value
 
 
 def run_moment(config: ExperimentConfig) -> McReport:
@@ -349,19 +351,23 @@ def run_phase_scan(config: ExperimentConfig) -> McReport:
     boundary.  A toll matches when the verdict agrees with the predicted
     regime (global -> converging, non-global -> diverging).  A scan with a
     size that kept no tree has no verdict (None), and no toll matches.
+    Sizes that snapped onto the same support point are scanned once; fewer
+    than two distinct sizes raise ValueError.
     """
     t0 = time.time()
     model = config.model
-    if len(config.sizes) < 3 or max(config.sizes) < 10 * min(config.sizes):
-        log.warning("phase scan wants >= 3 sizes spanning a decade; got %s", config.sizes)
+    sizes = sorted(set(config.sizes))
+    if len(sizes) < 2:
+        raise ValueError(f"phase scan needs at least two distinct sizes; got {config.sizes}")
+    if len(sizes) < 3 or sizes[-1] < 10 * sizes[0]:
+        log.warning("phase scan wants >= 3 sizes spanning a decade; got %s", sizes)
     tolls = [TollFunction.power(a - 1.0, config.beta) for a in config.alpha_primes]
-    per_n = {n: _tree_ensemble(config, n, tolls) for n in config.sizes}
-    means = {(n, i): _mean_stderr(per_n[n][0][:, i]) for n in config.sizes for i in range(len(tolls))}
+    per_n = {n: _tree_ensemble(config, n, tolls) for n in sizes}
+    means = {(n, i): _mean_stderr(per_n[n][0][:, i]) for n in sizes for i in range(len(tolls))}
 
     rows = []
     verdicts = {}
     checks = []
-    sizes = sorted(config.sizes)
     empty = [n for n in sizes if not len(per_n[n][0])]
     for i, aprime in enumerate(config.alpha_primes):
         seq = [means[(n, i)][0] for n in sizes]
@@ -554,7 +560,7 @@ def run_height_moments(config: ExperimentConfig) -> McReport:
     checks = []
     sizes = sorted(config.sizes)
     for p in config.p_list:
-        th = (2.0 * (math.pi / model.kappa) ** (p / 2.0) * theory.riemann_xi(p)
+        th = ((2.0 / model.kappa) ** (p / 2.0) * theory.max_excursion_moment(p)
               if model.gamma == 2.0 else None)
         ests = []
         for n in sizes:
@@ -658,12 +664,9 @@ def run_continuum(config: ExperimentConfig) -> McReport:
         raise ValueError("continuum simulation supports gamma = 2 only")
     kappa = config.model.kappa if config.model is not None else config.kappa
     tolls = list(config.tolls)
-    for toll in tolls:
-        exps = toll.exponents
-        if exps is not None and theory.finiteness(2.0, exps[0], exps[1]) == theory.AS_INFINITE:
-            raise theory.InfiniteMomentError(
-                f"toll {toll.label}: moment infinite (2a+b+1 = {2 * exps[0] + exps[1] + 1:g} <= 0)"
-            )
+    # infinite moments raise here, before any excursion is drawn
+    limits = [theory.brownian_moment(kappa, *toll.exponents) if toll.exponents is not None else None
+              for toll in tolls]
     task = _ExcursionTask(kappa, config.m_grid, config.levels, config.master_seed, tuple(tolls))
     results = _map_ordered(task, config.replicates, config.workers)
     vals = np.array(results)
@@ -671,8 +674,7 @@ def run_continuum(config: ExperimentConfig) -> McReport:
     for i, toll in enumerate(tolls):
         exps = toll.exponents
         rows.append(_row(MODE_CONTINUUM, config, None, exps[0] + 1.0 if exps else None,
-                         exps[1] if exps else None, *_mean_stderr(vals[:, i]),
-                         theory.brownian_moment(kappa, *exps) if exps is not None else None, 0))
+                         exps[1] if exps else None, *_mean_stderr(vals[:, i]), limits[i], 0))
     return McReport(rows, wall_time=time.time() - t0)
 
 

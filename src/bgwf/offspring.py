@@ -152,26 +152,6 @@ class OffspringModel:
                 lo = mid
         return hi
 
-    # -- serialization -------------------------------------------------
-
-    def to_json(self) -> dict:
-        obj = {
-            "family": self.family,
-            "gamma": self.gamma,
-            "kappa_or_c": self.kappa if self.c is None else self.c,
-            "pmf": None,
-            "truncation_K": self.truncation_K,
-        }
-        if self.family == FINITE_VARIANCE:
-            obj["pmf"] = {str(int(k)): float(p) for k, p in zip(self.table_values, self.table_probs)}
-        return obj
-
-    @staticmethod
-    def from_json(obj: dict) -> "OffspringModel":
-        if obj["family"] == STABLE_POWER:
-            return make_stable_family(obj["gamma"], obj["kappa_or_c"])
-        return make_finite_variance({int(k): p for k, p in obj["pmf"].items()})
-
 
 # ---------------------------------------------------------------------------
 # stable-power closed forms

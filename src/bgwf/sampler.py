@@ -89,14 +89,9 @@ class AnnotatedTree:
     def validate(self) -> None:
         """Check all structural invariants; raises ValueError on violation.
 
-        Trees below TREE_NUMPY_MIN are checked on Python lists (_check_rows),
-        larger ones in numpy; both test the same invariants.
+        _check_rows tests the same invariants on Python lists.
         """
         n = self.n
-        if n < TREE_NUMPY_MIN:
-            _check_rows(self.degree.tolist(), self.parent.tolist(), self.subtree_size.tolist(),
-                        self.subtree_height.tolist(), self.depth.tolist())
-            return
         children = self.parent[1:]
         # count_nonzero instead of .any(): the sampler validates every tree,
         # and near TREE_NUMPY_MIN the per-call overhead is much of the cost
@@ -429,14 +424,10 @@ def _tree_from_rows(deg: list, rows: tuple[list, list, list, list]) -> Annotated
 def build_and_annotate(degrees: np.ndarray) -> AnnotatedTree:
     """Tree from a valid depth-first degree sequence, annotated in O(n log n).
 
-    Trees below TREE_NUMPY_MIN go through Python loops on lists, larger
-    ones through numpy on the Lukasiewicz path; both raise ValueError on an
+    Annotation runs in numpy on the Lukasiewicz path; raises ValueError on an
     invalid sequence.
     """
     degree = np.ascontiguousarray(degrees, dtype=np.int64)
-    if degree.size < TREE_NUMPY_MIN:
-        deg = degree.tolist()
-        return _tree_from_rows(deg, _annotate_loop(deg))
     # one read-only block; its rows are read-only views
     stats = _annotate_lukasiewicz(degree)
     stats.setflags(write=False)

@@ -11,9 +11,9 @@ moment of the mass-and-height functional with toll x^alpha u^beta is
 
     g(0) * B(alpha + (beta+1)(1 - 1/gamma), 1 - 1/gamma) * E[H^beta],
 
-finite exactly when gamma*alpha + (gamma-1)(beta+1) > 0, and in the Brownian
-case E[H^beta] is explicit through the completed (xi) form of the zeta
-function, giving
+finite exactly when the integral test of ``finiteness`` holds, and in the
+Brownian case E[H^beta] is explicit through the completed (xi) form of the
+zeta function, giving
 
     (1/sqrt(pi kappa)) (pi/kappa)^(beta/2) xi(beta) B(alpha + (beta+1)/2, 1/2).
 """
@@ -35,22 +35,8 @@ _LN2 = math.log(2.0)
 _CVZ_TERMS = 36
 
 
-class InfiniteMomentError(ArithmeticError):
+class InfiniteMomentError(ValueError):
     """The requested moment is infinite (outside the finiteness region)."""
-
-
-@dataclass(frozen=True)
-class MomentSpec:
-    """Parameters of a power toll x^alpha u^beta on a gamma-stable tree."""
-
-    gamma: float
-    kappa: float
-    alpha: float
-    beta: float
-
-    @property
-    def is_finite(self) -> bool:
-        return self.gamma * self.alpha + (self.gamma - 1.0) * (self.beta + 1.0) > 0.0
 
 
 @dataclass(frozen=True)
@@ -103,12 +89,17 @@ def max_excursion_moment(beta: float) -> float:
     return 2.0 * (math.pi / 2.0) ** (beta / 2.0) * riemann_xi(beta)
 
 
+def _require_finite(gamma: float, alpha: float, beta: float) -> None:
+    """Raise InfiniteMomentError when the toll x^alpha u^beta fails the integral test."""
+    if finiteness(gamma, alpha, beta) == AS_INFINITE:
+        raise InfiniteMomentError(
+            f"moment infinite: toll x^{alpha:g} u^{beta:g} fails the integral test at gamma = {gamma:g}"
+        )
+
+
 def brownian_moment(kappa: float, alpha: float, beta: float) -> float:
     """First moment of the Brownian-tree functional with toll x^alpha u^beta."""
-    if 2.0 * alpha + beta + 1.0 <= 0.0:
-        raise InfiniteMomentError(
-            f"moment infinite: 2*alpha + beta + 1 = {2 * alpha + beta + 1:g} <= 0"
-        )
+    _require_finite(2.0, alpha, beta)
     return (
         1.0
         / math.sqrt(math.pi * kappa)
@@ -118,35 +109,26 @@ def brownian_moment(kappa: float, alpha: float, beta: float) -> float:
     )
 
 
-def stable_moment(spec: MomentSpec, height_moment: float) -> float:
+def stable_moment(gamma: float, kappa: float, alpha: float, beta: float, height_moment: float) -> float:
     """First moment for general gamma, taking E[H^beta] as an input.
 
     No closed form for E[H^beta] exists when gamma < 2; callers supply a
     simulation estimate there (self-consistency mode).
     """
-    if not spec.is_finite:
-        raise InfiniteMomentError(
-            "moment infinite: gamma*alpha + (gamma-1)(beta+1) = "
-            f"{spec.gamma * spec.alpha + (spec.gamma - 1) * (spec.beta + 1):g} <= 0"
-        )
-    a = spec.alpha + (spec.beta + 1.0) * (1.0 - 1.0 / spec.gamma)
-    return g0(spec.gamma, spec.kappa) * _beta_fn(a, 1.0 - 1.0 / spec.gamma) * height_moment
+    _require_finite(gamma, alpha, beta)
+    a = alpha + (beta + 1.0) * (1.0 - 1.0 / gamma)
+    return g0(gamma, kappa) * _beta_fn(a, 1.0 - 1.0 / gamma) * height_moment
 
 
-def mass_only_moment(gamma: float, kappa: float, mass_toll, power_exponent: float | None = None) -> float:
+def mass_only_moment(gamma: float, kappa: float, mass_toll, power_exponent: float) -> float:
     """E of the mass-only functional: g(0) * int_0^1 x^(-1/g) (1-x)^(-1/g) f(x) dx.
 
-    When the toll behaves like x^power_exponent near 0 (power and power-log
-    families), finiteness is decided by the exponent test
-    power_exponent - 1/gamma > -1.  For opaque tolls the integral is probed
-    on a shrinking sequence of left cutoffs and declared divergent when the
-    refinements stop contracting.
+    The toll f behaves like x^power_exponent near 0, up to a logarithmic
+    factor (power and power-log families), so the integral is finite exactly
+    when the power toll x^power_exponent u^0 is.
     """
+    _require_finite(gamma, power_exponent, 0.0)
     inv_g = 1.0 / gamma
-    if power_exponent is not None and power_exponent - inv_g <= -1.0:
-        raise InfiniteMomentError(
-            f"integral divergent at 0: exponent {power_exponent - inv_g:g} <= -1"
-        )
 
     def left(t):  # x = t^3 kills the x^(-1/gamma) singularity
         x = t**3
@@ -157,15 +139,6 @@ def mass_only_moment(gamma: float, kappa: float, mass_toll, power_exponent: floa
         return 3.0 * t * t * x ** (-inv_g) * t ** (-3.0 * inv_g) * mass_toll(x)
 
     t_half = 0.5 ** (1.0 / 3.0)
-    if power_exponent is None:
-        probes = []
-        for eps in (1e-2, 1e-3, 1e-4, 1e-5):
-            val, _ = quad(left, eps, t_half, limit=200)
-            probes.append(val)
-        diffs = [abs(b - a) for a, b in zip(probes, probes[1:])]
-        scale = max(1.0, abs(probes[-1]))
-        if diffs[-1] > 0.5 * diffs[-2] + 1e-12 and diffs[-1] > 1e-7 * scale:
-            raise InfiniteMomentError("integral fails to converge near 0")
     lval, _ = quad(left, 0.0, t_half, limit=400, epsabs=1e-11, epsrel=1e-11)
     rval, _ = quad(right, 0.0, t_half, limit=400, epsabs=1e-11, epsrel=1e-11)
     return g0(gamma, kappa) * (lval + rval)
@@ -180,7 +153,11 @@ def phase_regime(gamma: float, alpha_prime: float, beta: float) -> PhaseVerdict:
 
 
 def finiteness(gamma: float, alpha: float, beta: float) -> str:
-    """Almost-sure finiteness of the functional with toll x^alpha u^beta."""
+    """Almost-sure finiteness of the functional with toll x^alpha u^beta.
+
+    The only statement of the integral test: every first moment here raises
+    InfiniteMomentError through it.
+    """
     if not (1.0 < gamma <= 2.0):
         raise ValueError("gamma outside (1, 2]")
     return AS_FINITE if gamma * alpha + (gamma - 1.0) * (beta + 1.0) > 0.0 else AS_INFINITE

@@ -64,7 +64,7 @@ def test_criterion_1_brownian_moment_match(catalan_acceptance_report):
 
     ru = _row(rep, 1.0, 1.0)
     height_first_moment = 2.0 * 1.2533141373155
-    want = theory.stable_moment(theory.MomentSpec(2.0, 0.5, 0.0, 1.0), height_first_moment)
+    want = theory.stable_moment(2.0, 0.5, 0.0, 1.0, height_first_moment)
     assert want == pytest.approx(2.0, rel=1e-12)
     ok_u = abs(ru.estimate / want - 1.0) <= 0.05
     assert _report("1b (toll u vs theory 2.0, 5%)", ok_u,
@@ -214,7 +214,7 @@ def test_criterion_7_special_functions():
         if 2 * alpha + beta + 1 <= 0.05:
             continue
         hm = (2.0 / kappa) ** (beta / 2.0) * theory.max_excursion_moment(beta)
-        lhs = theory.stable_moment(theory.MomentSpec(2.0, kappa, alpha, beta), hm)
+        lhs = theory.stable_moment(2.0, kappa, alpha, beta, hm)
         rhs = theory.brownian_moment(kappa, alpha, beta)
         worst_sb = max(worst_sb, abs(lhs / rhs - 1.0))
         count += 1

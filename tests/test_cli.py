@@ -110,6 +110,19 @@ def test_invalid_range_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["continuum", "--alpha", "-0.6"],
+    ["continuum", "--levels", "0", "--m", "100"],
+    ["moment", "--family", "pmf"],
+    ["phase-scan", "--n", "10", "11"],  # 10 snaps onto 11 under the Catalan law
+    ["phase-scan", "--n", "11"],
+], ids=["infinite-moment", "zero-levels", "pmf-without-table", "one-distinct-size", "one-size"])
+def test_bad_request_is_usage_error(argv, capsys):
+    code, _, err = run_cli(argv + ["--R", "2", "--seed", "1", "--workers", "1"], capsys)
+    assert code == 64
+    assert err.splitlines()[-1].startswith("error: ")
+
+
 def test_config_round_trip(tmp_path, capsys):
     cfg = {"family": "geometric", "n": [51], "R": 8, "alpha_prime": 1.0,
            "beta": 0.0, "seed": 9, "workers": 1}

@@ -341,6 +341,15 @@ def test_drop_accounting_marks_invalid():
     assert rep.invalid and rep.exit_code() == 3
 
 
+def test_phase_scan_scans_each_snapped_size_once():
+    # 10 snaps onto 11 under the Catalan law (odd sizes only)
+    cfg = ExperimentConfig(mode=MODE_PHASE, model=catalan_model(), sizes=[10, 11, 101],
+                           replicates=4, alpha_primes=[1.5], master_seed=3)
+    rep = run_phase_scan(cfg)
+    assert [r.n for r in rep.rows] == [11, 101]
+    assert len(rep.extras["verdicts"][1.5]["growth_factors_per_decade"]) == 1
+
+
 def test_phase_scan_with_every_tree_dropped_is_invalid(monkeypatch, capsys):
     # stable gamma = 1.2 accepts far fewer than one degree sequence per attempt
     # at n >= 1000, so one attempt keeps no tree there

@@ -1,4 +1,3 @@
-import json
 import math
 
 import mpmath as mp
@@ -206,16 +205,3 @@ def test_sampling_matches_pmf(rng):
         assert freq == pytest.approx(float(m.pmf(k)), abs=4e-3)
     # heavy tail actually shows up
     assert (draws > 100).any()
-
-
-def test_serialization_roundtrip():
-    from bgwf.offspring import OffspringModel
-
-    for model in (make_stable_family(1.5, 0.5), catalan_model()):
-        obj = json.loads(json.dumps(model.to_json()))
-        back = OffspringModel.from_json(obj)
-        assert back.gamma == model.gamma
-        assert back.kappa == model.kappa
-        assert np.allclose(back.pmf(np.arange(10)), model.pmf(np.arange(10)))
-    obj = make_stable_family(1.5, 0.5).to_json()
-    assert set(obj) == {"family", "gamma", "kappa_or_c", "pmf", "truncation_K"}

@@ -18,6 +18,7 @@ from bgwf.sampler import (
     BudgetExhausted,
     _annotate_loop,
     _annotate_lukasiewicz,
+    _check_rows,
     _rotation,
     build_and_annotate,
     cycle_rotate,
@@ -102,10 +103,18 @@ def test_validate_detects_each_broken_invariant(n):
     import dataclasses
 
     # a root with children 1 and 3; vertex 1 has the leaf 2, vertex 3 starts
-    # a path down to the last vertex.  validate checks trees below
-    # TREE_NUMPY_MIN on lists, the others in numpy.
+    # a path down to the last vertex.  sample_conditioned checks trees below
+    # TREE_NUMPY_MIN on lists (_check_rows), the others with validate.
     tree = build_and_annotate(np.array([2, 1, 0] + [1] * (n - 4) + [0]))
-    tree.validate()
+
+    def check(t):
+        if n < TREE_NUMPY_MIN:
+            _check_rows(*(getattr(t, f).tolist() for f in
+                          ("degree", "parent", "subtree_size", "subtree_height", "depth")))
+        else:
+            t.validate()
+
+    check(tree)
     assert list(tree.parent[:4]) == [-1, 0, 1, 0]
     broken = {  # field -> {vertex: wrong value}, one invariant broken each
         "degree sum": dict(degree={2: 1}),
@@ -124,7 +133,7 @@ def test_validate_detects_each_broken_invariant(n):
                 row[i] = v
             changed[field] = row
         with pytest.raises(ValueError, match=message):
-            dataclasses.replace(tree, **changed).validate()
+            check(dataclasses.replace(tree, **changed))
 
 
 def test_build_rejects_invalid_sequences():
