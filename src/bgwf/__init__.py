@@ -4,7 +4,7 @@ size-conditioned critical branching-process trees.
 Subpackages:
 
 * ``offspring``   -- critical offspring laws in the stable domain of attraction
-* ``sampler``     -- exact size-conditioned tree sampling with O(n) annotation
+* ``sampler``     -- exact size-conditioned tree sampling with O(n log n) annotation
 * ``functionals`` -- discrete additive functionals and rescaled tree measures
 * ``theory``      -- closed-form limit constants and phase predicates
 * ``continuum``   -- Brownian excursion simulation and the continuum functional
@@ -32,8 +32,6 @@ from .sampler import (
 )
 from .functionals import (
     TollFunction,
-    FunctionalValue,
-    additive_functional,
     a_measure,
     rescaled_theorem1_sum,
     b1_index,

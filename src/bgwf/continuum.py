@@ -26,10 +26,9 @@ DEFAULT_LEVELS = 1024
 
 @dataclass(frozen=True)
 class Excursion:
-    """Positive excursion on a uniform grid; values[0] = values[m] = 0."""
+    """Positive excursion of duration 1 on a uniform grid; values[0] = values[m] = 0."""
 
     values: np.ndarray
-    duration: float = 1.0
 
     @property
     def m(self) -> int:
@@ -37,7 +36,7 @@ class Excursion:
 
     @property
     def dt(self) -> float:
-        return self.duration / self.m
+        return 1.0 / self.m
 
     @property
     def max(self) -> float:
@@ -54,7 +53,7 @@ class Excursion:
                 fh.write(buf.getvalue())
 
 
-def sample_excursion(m: int, rng: np.random.Generator, duration: float = 1.0) -> Excursion:
+def sample_excursion(m: int, rng: np.random.Generator) -> Excursion:
     """Normalized excursion: Gaussian bridge of m steps rotated at its minimum.
 
     The Vervaat rotation of the bridge at the argmin yields a nonnegative
@@ -78,10 +77,8 @@ def sample_excursion(m: int, rng: np.random.Generator, duration: float = 1.0) ->
         values[m] = 0.0
         if (values[1:m] > 0.0).all():
             break
-    if duration != 1.0:
-        values = values * math.sqrt(duration)
     values.setflags(write=False)
-    return Excursion(values=values, duration=duration)
+    return Excursion(values=values)
 
 
 def _level_counts(v: np.ndarray, dr: float, levels: int) -> np.ndarray:

@@ -4,11 +4,15 @@ Heights count edges throughout (a leaf has subtree height 0).  This matters:
 an off-by-one in the height convention silently shifts every beta moment.
 Power tolls use the convention 0^0 = 1 so that beta = 0 reduces exactly to
 mass-only functionals.
+
+Sums are plain numpy reductions.  They are not correctly rounded, but a tree's
+sum depends only on the tree, so reports are still identical for any worker
+count; integer-valued terms below 2^53 in total (sizes, heights and their
+products) are summed exactly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -27,20 +31,6 @@ def _pow(v: np.ndarray, e: float) -> np.ndarray:
         return np.ones_like(v, dtype=float)  # 0^0 = 1 convention
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.power(v, e, dtype=float)
-
-
-def _exact_sum(terms: np.ndarray) -> float:
-    """The correctly rounded sum of the terms, as math.fsum gives it.
-
-    Integer-valued terms whose absolute values add up to less than 2^53 have
-    exact partial sums in any order, so np.sum gives the same bits at a
-    fraction of fsum's cost; sums of sizes, heights and their products at
-    n = 10^4 are of this kind.  fsum gets a list, which it reads faster than
-    an array.
-    """
-    if (terms == np.trunc(terms)).all() and np.abs(terms).sum() < 2.0**53:
-        return float(terms.sum())
-    return math.fsum(terms.tolist())
 
 
 @dataclass(frozen=True)
@@ -87,63 +77,23 @@ class TollFunction:
         return np.asarray(self.fn(x, u), dtype=float)
 
 
-@dataclass(frozen=True)
-class FunctionalValue:
-    value: float
-    n: int
-    scaling_applied: str  # exponents of b_n and n in the prefactor
-    internal_only: bool
-
-
 class GapBound(NamedTuple):
     gap: float
     bound: float
     ok: bool
 
 
-def additive_functional(tree: AnnotatedTree, toll: Callable) -> float:
-    """F(t) = sum over all vertices of toll(subtree size, subtree height).
-
-    ``toll`` receives the full integer stat arrays and must return one float
-    per vertex; any non-finite value aborts with the offending vertex named.
-    """
-    terms = np.asarray(toll(tree.subtree_size, tree.subtree_height), dtype=float)
-    bad = ~np.isfinite(terms)
-    if bad.any():
-        v = int(np.argmax(bad))
-        raise ValueError(
-            f"toll not finite at vertex {v} "
-            f"(size {tree.subtree_size[v]}, height {tree.subtree_height[v]})"
-        )
-    return _exact_sum(terms)
-
-
-def a_measure(
-    tree: AnnotatedTree, model: OffspringModel, toll: TollFunction, internal_only: bool = True
-) -> FunctionalValue:
-    """(b_n/n^2) sum_w |t_w| f(|t_w|/n, (b_n/n) H(t_w)) over internal vertices.
-
-    With ``internal_only=False`` the sum extends over all vertices, which
-    requires the toll to be finite at height zero (leaves).
-    """
+def a_measure(tree: AnnotatedTree, model: OffspringModel, toll: TollFunction) -> float:
+    """(b_n/n^2) sum_w |t_w| f(|t_w|/n, (b_n/n) H(t_w)) over internal vertices."""
     n = tree.n
     b = normalizer(model, n)
-    a = b / n
-    if internal_only:
-        sizes, heights = tree.internal_stats
-    else:
-        probe = np.asarray(toll(np.array([1.0 / n]), np.array([0.0])), dtype=float)
-        if not np.isfinite(probe).all():
-            raise ValueError("toll blows up at height 0; use internal_only=True")
-        sizes = tree.subtree_size.astype(float)
-        heights = tree.subtree_height.astype(float)
-    terms = sizes * np.asarray(toll(sizes / n, a * heights), dtype=float)
+    sizes, heights = tree.internal_stats
+    terms = sizes * np.asarray(toll(sizes / n, (b / n) * heights), dtype=float)
     bad = ~np.isfinite(terms)
     if bad.any():
         v = int(np.argmax(bad))
         raise ValueError(f"toll not finite at vertex with mask-index {v}")
-    value = (b / n**2) * _exact_sum(terms)
-    return FunctionalValue(value, n, "bn^1*n^-2", internal_only)
+    return (b / n**2) * float(terms.sum())
 
 
 def rescaled_theorem1_sum(
@@ -151,23 +101,20 @@ def rescaled_theorem1_sum(
 ) -> FunctionalValue:
     """(b_n^(1+beta)/n^(1+alpha'+beta)) sum over internal w of |t_w|^alpha' H(t_w)^beta.
 
-    Algebraically identical to ``a_measure`` with the power toll
-    (alpha'-1, beta) restricted to internal vertices.
+    Algebraically identical to ``a_measure`` with the power toll (alpha'-1, beta).
     """
     n = tree.n
     b = normalizer(model, n)
     sizes, heights = tree.internal_stats
     terms = _pow(sizes, alpha_prime) * _pow(heights, beta)
-    scale = b ** (1.0 + beta) / n ** (1.0 + alpha_prime + beta)
-    value = scale * _exact_sum(terms)
-    return FunctionalValue(value, n, f"bn^{1 + beta:g}*n^-{1 + alpha_prime + beta:g}", True)
+    return b ** (1.0 + beta) / n ** (1.0 + alpha_prime + beta) * float(terms.sum())
 
 
 def b1_index(tree: AnnotatedTree) -> float:
     """Sum of 1/H(t_w) over internal vertices other than the root."""
     mask = tree.internal.copy()
     mask[0] = False
-    return _exact_sum(1.0 / tree.subtree_height[mask])
+    return float((1.0 / tree.subtree_height[mask]).sum())
 
 
 def tv_gap_bound_check(tree: AnnotatedTree, model: OffspringModel) -> GapBound:
@@ -183,11 +130,13 @@ def tv_gap_bound_check(tree: AnnotatedTree, model: OffspringModel) -> GapBound:
 
 
 def mass_bound_check(tree: AnnotatedTree, model: OffspringModel) -> bool:
-    """Check total-mass bounds: A°(1) <= (b_n/n) H and A(1) <= (b_n/n)(H+1)."""
-    one = TollFunction.power(0.0, 0.0)
+    """Check total-mass bounds: A°(1) <= (b_n/n) H and A(1) <= (b_n/n)(H+1).
+
+    A(1) is A°(1) plus the leaf atoms of tv_gap_bound_check, a/n per leaf.
+    """
     a = normalizer(model, tree.n) / tree.n
     height = tree.height
     tol = 1e-12
-    lhs_internal = a_measure(tree, model, one, internal_only=True).value
-    lhs_all = a_measure(tree, model, one, internal_only=False).value
-    return lhs_internal <= a * height + tol and lhs_all <= a * (height + 1) + tol
+    internal = a_measure(tree, model, TollFunction.power(0.0, 0.0))
+    total = internal + (a / tree.n) * tree.leaves
+    return internal <= a * height + tol and total <= a * (height + 1) + tol

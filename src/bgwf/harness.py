@@ -82,7 +82,8 @@ class ExperimentConfig:
 
     Sizes are snapped upward to the nearest supported tree size at
     construction time, so the reported n may differ from the requested one
-    (e.g. even sizes under a span-2 offspring law).
+    (e.g. even sizes under a span-2 offspring law).  The sizes are then kept
+    distinct and ascending, so sizes that snap onto one point run once.
     """
 
     mode: str
@@ -109,6 +110,7 @@ class ExperimentConfig:
                 if want != got:
                     log.info("size %d not in the support; snapped to %d", want, got)
             self.sizes = snapped
+        self.sizes = sorted(set(self.sizes))
 
 
 @dataclass
@@ -226,10 +228,9 @@ class _TreeTask:
         for toll in self.tolls:
             exps = toll.exponents
             if exps is not None:
-                fv = rescaled_theorem1_sum(tree, self.model, exps[0] + 1.0, exps[1])
+                vals.append(rescaled_theorem1_sum(tree, self.model, exps[0] + 1.0, exps[1]))
             else:
-                fv = a_measure(tree, self.model, toll, internal_only=True)
-            vals.append(fv.value)
+                vals.append(a_measure(tree, self.model, toll))
         return vals, b_over_n * tree.height
 
 
@@ -351,14 +352,13 @@ def run_phase_scan(config: ExperimentConfig) -> McReport:
     boundary.  A toll matches when the verdict agrees with the predicted
     regime (global -> converging, non-global -> diverging).  A scan with a
     size that kept no tree has no verdict (None), and no toll matches.
-    Sizes that snapped onto the same support point are scanned once; fewer
-    than two distinct sizes raise ValueError.
+    Fewer than two distinct sizes raise ValueError.
     """
     t0 = time.time()
     model = config.model
-    sizes = sorted(set(config.sizes))
+    sizes = config.sizes
     if len(sizes) < 2:
-        raise ValueError(f"phase scan needs at least two distinct sizes; got {config.sizes}")
+        raise ValueError(f"phase scan needs at least two distinct sizes; got {sizes}")
     if len(sizes) < 3 or sizes[-1] < 10 * sizes[0]:
         log.warning("phase scan wants >= 3 sizes spanning a decade; got %s", sizes)
     tolls = [TollFunction.power(a - 1.0, config.beta) for a in config.alpha_primes]
@@ -558,7 +558,7 @@ def run_height_moments(config: ExperimentConfig) -> McReport:
 
     rows = []
     checks = []
-    sizes = sorted(config.sizes)
+    sizes = config.sizes
     for p in config.p_list:
         th = ((2.0 / model.kappa) ** (p / 2.0) * theory.max_excursion_moment(p)
               if model.gamma == 2.0 else None)
@@ -663,8 +663,9 @@ def run_continuum(config: ExperimentConfig) -> McReport:
     if config.model is not None and config.model.gamma != 2.0:
         raise ValueError("continuum simulation supports gamma = 2 only")
     kappa = config.model.kappa if config.model is not None else config.kappa
+    theory.g0(2.0, kappa)  # refuses kappa <= 0
     tolls = list(config.tolls)
-    # infinite moments raise here, before any excursion is drawn
+    # bad requests raise here, before any excursion is drawn
     limits = [theory.brownian_moment(kappa, *toll.exponents) if toll.exponents is not None else None
               for toll in tolls]
     task = _ExcursionTask(kappa, config.m_grid, config.levels, config.master_seed, tuple(tolls))
@@ -686,7 +687,7 @@ def run_continuum(config: ExperimentConfig) -> McReport:
 def run_selftest() -> tuple[bool, list[str]]:
     """Fast golden-value suite; returns (all passed, report lines)."""
     from .offspring import catalan_model, geometric_model, make_stable_family
-    from .functionals import a_measure, b1_index
+    from .functionals import b1_index
     from .sampler import build_and_annotate
 
     lines = []
@@ -708,8 +709,7 @@ def run_selftest() -> tuple[bool, list[str]]:
     check("geometric sigma^2", geometric_model().sigma2, 2.0)
     check("stable pmf(2)", float(make_stable_family(1.5, 0.5).pmf(2)), 0.1875)
     cherry = build_and_annotate(np.array([2, 0, 0]))
-    check("cherry a-measure", a_measure(cherry, cat, TollFunction.power(0, 0)).value,
-          math.sqrt(3.0) / 3.0)
+    check("cherry a-measure", a_measure(cherry, cat, TollFunction.power(0, 0)), math.sqrt(3.0) / 3.0)
     path4 = build_and_annotate(np.array([1, 1, 1, 0]))
     check("b1 of 4-path", b1_index(path4), 1.5)
     p = exact_walk_point_probability(cat, 101, 100)

@@ -27,7 +27,9 @@ def enumerate_tree_law(model, n):
 
 # Session-scoped Catalan ensemble at the acceptance-scale size.  Several
 # acceptance criteria and the power-log expansion check share it, so the
-# expensive sampling happens once.
+# expensive sampling happens once.  Both fixtures run on 2 worker processes;
+# reports are bit-identical for any worker count.
+ACCEPT_WORKERS = 2
 ACCEPT_N = 10_001
 ACCEPT_R = 10_000
 ACCEPT_SEED = 20_240_811
@@ -53,6 +55,7 @@ def catalan_acceptance_report():
         replicates=ACCEPT_R,
         tolls=tolls,
         master_seed=ACCEPT_SEED,
+        workers=ACCEPT_WORKERS,
     )
     return run_moment(cfg)
 
@@ -75,6 +78,7 @@ def continuum_acceptance_report():
         levels=1024,
         tolls=tolls,
         master_seed=ACCEPT_SEED + 1,
+        workers=ACCEPT_WORKERS,
     )
     return run_continuum(cfg)
 

@@ -190,8 +190,8 @@ def test_criterion_6_structural_properties():
         for _ in range(20):
             aprime = float(rng.uniform(-1.0, 3.0))
             beta = float(rng.uniform(-2.0, 3.0))
-            lhs = rescaled_theorem1_sum(tree, geo, aprime, beta).value
-            rhs = a_measure(tree, geo, TollFunction.power(aprime - 1.0, beta)).value
+            lhs = rescaled_theorem1_sum(tree, geo, aprime, beta)
+            rhs = a_measure(tree, geo, TollFunction.power(aprime - 1.0, beta))
             if lhs != rhs:
                 worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
     assert _report("6 (rescaled/a-measure identity)", worst <= 1e-12, f"worst rel {worst:.2e}")

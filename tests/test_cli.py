@@ -110,17 +110,21 @@ def test_invalid_range_usage_error(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["continuum", "--alpha", "-0.6"],
-    ["continuum", "--levels", "0", "--m", "100"],
-    ["moment", "--family", "pmf"],
-    ["phase-scan", "--n", "10", "11"],  # 10 snaps onto 11 under the Catalan law
-    ["phase-scan", "--n", "11"],
-], ids=["infinite-moment", "zero-levels", "pmf-without-table", "one-distinct-size", "one-size"])
-def test_bad_request_is_usage_error(argv, capsys):
+@pytest.mark.parametrize("argv, names", [
+    (["continuum", "--alpha", "-0.6"], "infinite"),
+    (["continuum", "--levels", "0", "--m", "100"], "levels"),
+    (["continuum", "--kappa", "0", "--m", "100"], "kappa"),
+    (["continuum", "--kappa", "-1", "--m", "100"], "kappa"),
+    (["moment", "--family", "pmf"], "--pmf"),
+    (["phase-scan", "--n", "10", "11"], "distinct sizes"),  # 10 snaps onto 11 under the Catalan law
+    (["phase-scan", "--n", "11"], "distinct sizes"),
+], ids=["infinite-moment", "zero-levels", "zero-kappa", "negative-kappa", "pmf-without-table",
+        "one-distinct-size", "one-size"])
+def test_bad_request_is_usage_error(argv, names, capsys):
     code, _, err = run_cli(argv + ["--R", "2", "--seed", "1", "--workers", "1"], capsys)
     assert code == 64
-    assert err.splitlines()[-1].startswith("error: ")
+    last = err.splitlines()[-1]
+    assert last.startswith("error: ") and names in last
 
 
 def test_config_round_trip(tmp_path, capsys):

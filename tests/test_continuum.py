@@ -35,7 +35,7 @@ def components_above(exc: Excursion, r: float) -> list[LevelComponent]:
     v = exc.values
     dt = exc.dt
     if r <= 0.0:
-        return [LevelComponent(0.0, 0.0, exc.duration, exc.duration, exc.max)]
+        return [LevelComponent(0.0, 0.0, 1.0, 1.0, exc.max)]
     if r >= exc.max:
         return []
     above = v > r
@@ -55,7 +55,7 @@ def components_above(exc: Excursion, r: float) -> list[LevelComponent]:
 def triangular(m=1000):
     half = np.linspace(0.0, 0.5, m // 2 + 1)
     values = np.concatenate([half, half[::-1][1:]])
-    return Excursion(values=values, duration=1.0)
+    return Excursion(values=values)
 
 
 def naive_sweep(exc, toll, levels):
@@ -278,11 +278,3 @@ def test_excursion_csv_dump(tmp_path):
     assert len(lines) == 12
     assert lines[1].startswith("0,")
 
-
-def test_duration_scaling():
-    rng = rng_for(53, 0)
-    exc = sample_excursion(500, rng, duration=4.0)
-    assert exc.duration == 4.0
-    assert exc.dt == pytest.approx(4.0 / 500)
-    # Brownian scaling: heights grow like sqrt(duration)
-    assert exc.max > 0.0

@@ -5,9 +5,7 @@ import pytest
 
 from bgwf.functionals import (
     TollFunction,
-    _exact_sum,
     a_measure,
-    additive_functional,
     b1_index,
     mass_bound_check,
     rescaled_theorem1_sum,
@@ -20,71 +18,29 @@ CHERRY = np.array([2, 0, 0])
 PATH3 = np.array([1, 1, 0])
 
 
-def test_additive_functional_examples():
-    cherry = build_and_annotate(CHERRY)
-    assert additive_functional(cherry, lambda s, h: np.ones_like(s, float)) == 3.0
-    assert additive_functional(cherry, lambda s, h: s.astype(float)) == 5.0
-    path = build_and_annotate(PATH3)
-    assert additive_functional(path, lambda s, h: s.astype(float)) == 6.0
-
-
-def test_exact_sum_equals_fsum_bit_for_bit():
-    rng = np.random.default_rng(5)
-    sizes = rng.integers(1, 10_001, 5000).astype(float)
-    cases = [
-        sizes, sizes * sizes, np.sqrt(sizes), -sizes, np.zeros(0), np.array([-0.0]),
-        # integer-valued, but partial sums past 2^53 round: fsum must be used
-        np.array([2.0**53, 1.0, 1.0, -(2.0**53)]), np.array([1e16, 1.0, -1e16]),
-        np.array([np.inf, 1.0]), np.array([np.nan, 1.0]),
-    ]
-    for terms in cases:
-        assert _exact_sum(terms).hex() == math.fsum(terms.tolist()).hex()
-
-
-def test_additive_functional_nonfinite_error():
-    path = build_and_annotate(PATH3)
-    with pytest.raises(ValueError, match="vertex"):
-        additive_functional(path, lambda s, h: 1.0 / h)
-
-
-def test_additive_indicator_counts_internal(rng):
-    geo = geometric_model()
-    for _ in range(20):
-        tree = sample_conditioned(geo, 25, rng)
-        got = additive_functional(tree, lambda s, h: (s > 1).astype(float))
-        assert got == int(tree.internal.sum())
-
-
 def test_a_measure_cherry():
     cat = catalan_model()
     cherry = build_and_annotate(CHERRY)
     one = TollFunction.power(0, 0)
-    internal = a_measure(cherry, cat, one, internal_only=True)
-    assert internal.value == pytest.approx(math.sqrt(3) / 3, abs=1e-14)
-    full = a_measure(cherry, cat, one, internal_only=False)
-    assert full.value == pytest.approx(5 * math.sqrt(3) / 9, abs=1e-14)
+    assert a_measure(cherry, cat, one) == pytest.approx(math.sqrt(3) / 3, abs=1e-14)
     zero = TollFunction.custom(lambda x, u: np.zeros_like(x), "0")
-    assert a_measure(cherry, cat, zero).value == 0.0
-
-
-def test_a_measure_leaf_blowup_rejected():
-    cat = catalan_model()
-    cherry = build_and_annotate(CHERRY)
-    with pytest.raises(ValueError, match="height 0"):
-        a_measure(cherry, cat, TollFunction.power(0, -1), internal_only=False)
-    # fine when restricted to internal vertices
-    a_measure(cherry, cat, TollFunction.power(0, -1), internal_only=True)
+    assert a_measure(cherry, cat, zero) == 0.0
+    # the sum runs over internal vertices only, so a toll that blows up at
+    # height 0 (leaves) is finite there
+    assert a_measure(cherry, cat, TollFunction.power(0, -1)) == pytest.approx(1.0, abs=1e-14)
+    with pytest.raises(ValueError, match="not finite"):
+        a_measure(cherry, cat, TollFunction.custom(lambda x, u: np.full_like(x, np.inf), "inf"))
 
 
 def test_rescaled_sum_examples():
     cat = catalan_model()
     cherry = build_and_annotate(CHERRY)
-    assert rescaled_theorem1_sum(cherry, cat, 1.0, 0.0).value == pytest.approx(
+    assert rescaled_theorem1_sum(cherry, cat, 1.0, 0.0) == pytest.approx(
         math.sqrt(3) / 3, abs=1e-14
     )
     path = build_and_annotate(PATH3)
     # internal sizes 3, 2 with heights 2, 1; b_3^2 = 3: (3/27)(3*2 + 2*1) = 8/9
-    assert rescaled_theorem1_sum(path, cat, 1.0, 1.0).value == pytest.approx(8 / 9, abs=1e-14)
+    assert rescaled_theorem1_sum(path, cat, 1.0, 1.0) == pytest.approx(8 / 9, abs=1e-14)
 
 
 def test_rescaled_sum_trivial_bound(rng):
@@ -92,7 +48,7 @@ def test_rescaled_sum_trivial_bound(rng):
     geo = geometric_model()
     for _ in range(10):
         tree = sample_conditioned(geo, 51, rng)
-        v = rescaled_theorem1_sum(tree, geo, 0.0, 0.0).value
+        v = rescaled_theorem1_sum(tree, geo, 0.0, 0.0)
         b = normalizer(geo, 51)
         assert v == pytest.approx((b / 51) * int(tree.internal.sum()), rel=1e-12)
         assert v <= b + 1e-12
@@ -107,8 +63,8 @@ def test_rescaled_equals_a_measure_identity(rng):
         for _ in range(20):
             aprime = float(rng.uniform(-1.0, 3.0))
             beta = float(rng.uniform(-2.0, 3.0))
-            lhs = rescaled_theorem1_sum(tree, geo, aprime, beta).value
-            rhs = a_measure(tree, geo, TollFunction.power(aprime - 1.0, beta)).value
+            lhs = rescaled_theorem1_sum(tree, geo, aprime, beta)
+            rhs = a_measure(tree, geo, TollFunction.power(aprime - 1.0, beta))
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -138,7 +94,7 @@ def test_mass_bound_cherry_equality():
     cat = catalan_model()
     cherry = build_and_annotate(CHERRY)
     one = TollFunction.power(0, 0)
-    lhs = a_measure(cherry, cat, one).value
+    lhs = a_measure(cherry, cat, one)
     a = normalizer(cat, 3) / 3
     assert lhs == pytest.approx(a * 1, abs=1e-14)  # equality at the cherry
     assert mass_bound_check(cherry, cat)
@@ -163,8 +119,8 @@ def test_power_log_decomposition(rng):
         n = int(rng.integers(3, 200))
         tree = sample_conditioned(geo, n, rng)
         b = normalizer(geo, n)
-        lhs = a_measure(tree, geo, TollFunction.power_log(alpha)).value
-        power = a_measure(tree, geo, TollFunction.power(alpha, 0.0)).value
+        lhs = a_measure(tree, geo, TollFunction.power_log(alpha))
+        power = a_measure(tree, geo, TollFunction.power(alpha, 0.0))
         sizes = tree.subtree_size[tree.internal].astype(float)
         raw = (b / n ** (2 + alpha)) * math.fsum(sizes ** (1 + alpha) * np.log(sizes))
         assert lhs == pytest.approx(math.log(n) * power - raw, rel=1e-9, abs=1e-12)
@@ -175,11 +131,3 @@ def test_zero_zero_convention():
     assert float(toll(np.array([0.25]), np.array([0.0]))[0]) == pytest.approx(0.5)
     toll2 = TollFunction.power(0.0, 0.0)
     assert float(toll2(np.array([0.25]), np.array([0.0]))[0]) == 1.0
-
-
-def test_functional_value_metadata():
-    cat = catalan_model()
-    cherry = build_and_annotate(CHERRY)
-    fv = rescaled_theorem1_sum(cherry, cat, 2.0, 1.0)
-    assert fv.n == 3 and fv.internal_only
-    assert fv.scaling_applied == "bn^2*n^-4"

@@ -248,12 +248,15 @@ def test_kennedy_theta_series_agree():
     assert mean == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-9)
 
 
-def test_tail_exponent_fit_on_kennedy_exact_law():
-    # exact quantiles over the default window: the prefactor y^-3 of the
-    # lower tail biases the fitted exponent from 2 to 2.43
+@pytest.mark.parametrize("sign, fitted", [(-1, 2.43), (1, 2.34)], ids=["lower", "upper"])
+def test_tail_exponent_fit_on_kennedy_exact_law(sign, fitted):
+    # exact quantiles over the default window, of the CDF (lower tail) or the
+    # survival function (upper tail): the polynomial prefactor of each tail
+    # biases the fitted exponent 2, y^-3 to 2.43 below and y^2 to 2.34 above
     qs = np.exp(np.linspace(math.log(0.002), math.log(0.05), 12))
-    ys = np.array([brentq(lambda y: kennedy_cdf(y) - q, 0.5, 4.0, xtol=1e-13) for q in qs])
-    assert _tail_exponent_fit(ys, -np.log(qs), sign=-1) == pytest.approx(2.43, abs=0.011)
+    tail = kennedy_cdf if sign < 0 else (lambda y: 1.0 - kennedy_cdf(y))
+    ys = np.array([brentq(lambda y: tail(y) - q, 0.5, 8.0, xtol=1e-13) for q in qs])
+    assert _tail_exponent_fit(ys, -np.log(qs), sign=sign) == pytest.approx(fitted, abs=0.011)
 
 
 def test_tail_fit_lattice_pairing_matches_continuous():
@@ -348,6 +351,17 @@ def test_phase_scan_scans_each_snapped_size_once():
     rep = run_phase_scan(cfg)
     assert [r.n for r in rep.rows] == [11, 101]
     assert len(rep.extras["verdicts"][1.5]["growth_factors_per_decade"]) == 1
+
+
+def test_height_moments_run_each_snapped_size_once():
+    # 1000 snaps onto 1001 under the Catalan law: one size, so no stability check
+    cfg = ExperimentConfig(mode=MODE_HEIGHT, model=catalan_model(), sizes=[1000, 1001],
+                           replicates=4, p_list=[1.0, 2.0], master_seed=3)
+    assert cfg.sizes == [1001]
+    rep = run_height_moments(cfg)
+    assert [(r.beta, r.n) for r in rep.rows] == [(1.0, 1001), (2.0, 1001)]
+    assert rep.checks == []
+    assert ExperimentConfig(mode=MODE_HEIGHT, model=catalan_model(), sizes=[101, 10, 11]).sizes == [11, 101]
 
 
 def test_phase_scan_with_every_tree_dropped_is_invalid(monkeypatch, capsys):
