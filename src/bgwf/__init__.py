@@ -4,7 +4,8 @@ size-conditioned critical branching-process trees.
 Subpackages:
 
 * ``offspring``   -- critical offspring laws in the stable domain of attraction
-* ``sampler``     -- exact size-conditioned tree sampling with O(n log n) annotation
+* ``sampler``     -- exact size-conditioned tree sampling; annotation by linear passes
+                     around two narrow stable sorts, heights by a sparse table
 * ``functionals`` -- discrete additive functionals and rescaled tree measures
 * ``theory``      -- closed-form limit constants and phase predicates
 * ``continuum``   -- Brownian excursion simulation and the continuum functional

@@ -263,11 +263,12 @@ def _dispatch(command: str, opts: dict) -> int:
             mode=harness.MODE_CONTINUUM, replicates=opts["R"], kappa=opts["kappa"],
             m_grid=opts["m"], levels=opts["levels"],
             tolls=[TollFunction.power(opts["alpha"], opts["beta"])], master_seed=seed, workers=workers)
+        report = harness.run_continuum(cfg)  # refuses a bad request before any file is written
         if opts["dump_excursion"]:
             from .continuum import sample_excursion
 
             sample_excursion(opts["m"], harness.replicate_rng(seed, 0)).to_csv(opts["dump_excursion"])
-        return _emit(harness.run_continuum(cfg), opts)
+        return _emit(report, opts)
 
     raise SystemExit(USAGE_ERROR)
 

@@ -104,6 +104,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replicates < 2:
             raise ValueError("need at least 2 replicates")
+        if not self.sizes and self.mode in (MODE_MOMENT, MODE_PHASE, MODE_HEIGHT, MODE_TAIL):
+            raise ValueError(f"{self.mode} needs at least one size in the size list n")
         if self.model is not None:
             snapped = [snap_to_support(self.model, n) for n in self.sizes]
             for want, got in zip(self.sizes, snapped):
@@ -688,7 +690,7 @@ def run_selftest() -> tuple[bool, list[str]]:
     """Fast golden-value suite; returns (all passed, report lines)."""
     from .offspring import catalan_model, geometric_model, make_stable_family
     from .functionals import b1_index
-    from .sampler import build_and_annotate
+    from .sampler import _annotate_loop, build_and_annotate, cycle_rotate, sample_degree_sequence
 
     lines = []
     ok_all = True
@@ -712,6 +714,13 @@ def run_selftest() -> tuple[bool, list[str]]:
     check("cherry a-measure", a_measure(cherry, cat, TollFunction.power(0, 0)), math.sqrt(3.0) / 3.0)
     path4 = build_and_annotate(np.array([1, 1, 1, 0]))
     check("b1 of 4-path", b1_index(path4), 1.5)
+    degrees = sample_degree_sequence(make_stable_family(1.2, 0.5), 2001, replicate_rng(1, 0))
+    r = cycle_rotate(degrees)
+    degrees = np.concatenate((degrees[r:], degrees[:r]))
+    tree = build_and_annotate(degrees)
+    rows = (tree.parent, tree.subtree_size, tree.subtree_height, tree.depth)
+    check("numpy annotation = loop, stable 1.2 n=2001 (mismatches)",
+          np.count_nonzero(np.array(rows) != np.array(_annotate_loop(degrees.tolist()))), 0)
     p = exact_walk_point_probability(cat, 101, 100)
     check("llt catalan n=101", math.sqrt(101) * p / 2, 0.3960100764148143, tol=1e-9)
     return ok_all, lines

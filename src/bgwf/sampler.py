@@ -50,7 +50,8 @@ class AnnotatedTree:
     """Size-n ordered rooted tree in depth-first order with per-vertex stats.
 
     ``parent[0]`` is the sentinel -1.  Heights count edges: leaves have
-    subtree_height 0, and ``height`` is the maximal depth.
+    subtree_height 0, and ``height``, the root's subtree height, is the
+    maximal depth.
     """
 
     n: int
@@ -62,7 +63,7 @@ class AnnotatedTree:
 
     @property
     def height(self) -> int:
-        return int(self.depth.max())
+        return int(self.subtree_height[0])
 
     @property
     def leaves(self) -> int:
@@ -280,8 +281,8 @@ def _rotation(deg: list) -> int:
 # larger ones in numpy, whose per-call overhead is most of the cost of a
 # small tree.  Time per sample_conditioned call, lists against numpy, on a
 # 2-vCPU Intel Xeon VM (Catalan, geometric and stable gamma=1.5 trees,
-# medians of nine runs): 0.55-0.62 at n=48, 0.88-0.94 at n=96, 0.93-1.05
-# at n=112, 1.01-1.06 at n=128, 1.20-1.27 at n=160.
+# medians of nine runs of 300 trees): 0.59-0.66 at n=48, 0.94-0.96 at
+# n=96, 1.02-1.07 at n=112, 1.08-1.22 at n=128, 1.07-1.30 at n=160.
 TREE_NUMPY_MIN = 120
 
 
@@ -382,33 +383,53 @@ def _annotate_lukasiewicz(degree: np.ndarray) -> np.ndarray:
     The path is L_i = sum_{k<i} (d_k - 1); the sequence is valid iff the
     degrees are nonnegative, L_i >= 0 for i < n and L_n = -1.  Its down-steps
     are exactly -1, so vertex i's subtree ends at the first j > i with
-    L_j = L_i - 1: among the keys L*(n+1) + index, sorted once, that is the
-    key right after i's own key moved down one level.  Depth is the number of
-    open subtrees [k+1, end_k) over a vertex.  Depth rises by at most 1 per
-    step, so vertex j's parent is the last k < j with depth_k = depth_j - 1,
-    found the same way among the keys depth*n + index.
+    L_j = L_i - 1 (Le Gall, "Random trees and applications", Probab. Surveys
+    2, 2005).  In (level, index) order, one stable sort of L_0..L_{n-1}, a
+    non-leaf is followed by the next visit to its level, inside its subtree,
+    and that visit's subtree ends where its own does; a leaf's ends right
+    after it, and every level's last visit is a leaf.  So each vertex's end is
+    that of the first leaf at or after it in this order, one running minimum
+    over the order read backwards.  Depth is the number of open subtrees
+    [k+1, end_k) over a vertex, and heights are range maxima of depth over
+    each subtree.  In (depth, index) order, the second stable sort, the
+    children of each vertex form one block that starts with its first child,
+    the vertex right after it; a running maximum of block starts gives every
+    parent.  Both sort keys take the narrowest unsigned dtype that holds
+    them, so keys below 2^16 get numpy's O(n) radix sort.
     """
     n = degree.size
     walk = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degree - 1, out=walk[1:])
     if walk[n] != -1 or walk[:n].min() < 0 or degree.min() < 0:
         raise ValueError("not a valid depth-first degree sequence")
-    idx = np.arange(n + 1)
+    idx = np.arange(n)
+    leaf = degree == 0
     stats = np.empty((4, n), dtype=np.int64)
     parent, size, height, depth = stats
-    keys = np.sort(walk * (n + 1) + idx)  # the first is vertex n's, alone at level -1
-    below = keys[1:] - (n + 1)
-    size[below % (n + 1)] = keys[np.searchsorted(keys, below)] - below
-    end = idx[:n] + size
-    np.subtract(idx[:n], np.bincount(end, minlength=n + 1).cumsum()[:n], out=depth)
+    path = walk[:n]
+    order = np.argsort(path.astype(np.min_scalar_type(int(path.max()))), kind="stable")
+    # sorted position of the first leaf at or after each position
+    first_leaf = np.where(leaf[order], idx, n)
+    np.minimum.accumulate(first_leaf[::-1], out=first_leaf[::-1])
+    np.add(order[first_leaf], 1, out=first_leaf)
+    end = np.empty(n, dtype=np.int64)
+    end[order] = first_leaf
+    np.subtract(end, idx, out=size)
+    np.subtract(idx, np.bincount(end, minlength=n + 1).cumsum()[:n], out=depth)
     # depths fit a narrow dtype (one or two bytes at n = 10^4), which shrinks
     # the range-max table built from them eight- or fourfold
     narrow = depth.astype(np.min_scalar_type(int(depth.max())))
-    np.subtract(range_max(narrow, idx[:n], end), depth, out=height)
-    keys = np.sort(depth * n + idx[:n])  # the first is the root's, alone at depth 0
-    above = keys[1:] - n
-    parent[0] = -1
-    parent[above % n] = keys[np.searchsorted(keys, above) - 1] % n
+    np.subtract(range_max(narrow, idx, end), depth, out=height)
+    order = np.argsort(narrow, kind="stable")
+    # a block starts at the root (its parent is then -1) or at a first child
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    np.logical_not(leaf[:-1], out=starts[1:])
+    # sorted position of the last block start at or before each position
+    block = idx * starts[order]
+    np.maximum.accumulate(block, out=block)
+    np.subtract(order[block], 1, out=block)
+    parent[order] = block
     return stats
 
 
@@ -422,10 +443,11 @@ def _tree_from_rows(deg: list, rows: tuple[list, list, list, list]) -> Annotated
 
 
 def build_and_annotate(degrees: np.ndarray) -> AnnotatedTree:
-    """Tree from a valid depth-first degree sequence, annotated in O(n log n).
+    """Tree from a valid depth-first degree sequence, annotated in numpy.
 
-    Annotation runs in numpy on the Lukasiewicz path; raises ValueError on an
-    invalid sequence.
+    _annotate_lukasiewicz finds subtree sizes, depths and parents in O(n)
+    passes around two stable sorts of narrow keys, and subtree heights from
+    a sparse table in O(n log n); raises ValueError on an invalid sequence.
     """
     degree = np.ascontiguousarray(degrees, dtype=np.int64)
     # one read-only block; its rows are read-only views

@@ -118,13 +118,32 @@ def test_invalid_range_usage_error(capsys):
     (["moment", "--family", "pmf"], "--pmf"),
     (["phase-scan", "--n", "10", "11"], "distinct sizes"),  # 10 snaps onto 11 under the Catalan law
     (["phase-scan", "--n", "11"], "distinct sizes"),
+    # a config file is the only way to give an empty size list
+    (["moment", {"n": []}], "size list n"),
+    (["tail", {"n": []}], "size list n"),
+    (["height-moments", {"n": []}], "size list n"),
+    (["phase-scan", {"n": []}], "size list n"),
 ], ids=["infinite-moment", "zero-levels", "zero-kappa", "negative-kappa", "pmf-without-table",
-        "one-distinct-size", "one-size"])
-def test_bad_request_is_usage_error(argv, names, capsys):
+        "one-distinct-size", "one-size", "moment-no-sizes", "tail-no-sizes",
+        "height-moments-no-sizes", "phase-scan-no-sizes"])
+def test_bad_request_is_usage_error(argv, names, capsys, tmp_path):
+    if isinstance(argv[-1], dict):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + ["--config", str(path)]
     code, _, err = run_cli(argv + ["--R", "2", "--seed", "1", "--workers", "1"], capsys)
     assert code == 64
     last = err.splitlines()[-1]
     assert last.startswith("error: ") and names in last
+
+
+@pytest.mark.parametrize("kappa, want", [("0", 64), ("0.5", 0)])
+def test_excursion_dumped_only_for_an_accepted_request(kappa, want, tmp_path, capsys):
+    dump = tmp_path / "exc.csv"
+    code, _, _ = run_cli(["continuum", "--kappa", kappa, "--m", "100", "--R", "2", "--seed", "1",
+                          "--dump-excursion", str(dump)], capsys)
+    assert code == want
+    assert dump.exists() == (want == 0)
 
 
 def test_config_round_trip(tmp_path, capsys):

@@ -177,6 +177,35 @@ def test_lukasiewicz_annotation_equals_loop(degrees):
     np.testing.assert_array_equal(_annotate_lukasiewicz(degrees), _annotate_loop(degrees.tolist()))
 
 
+@pytest.mark.parametrize("model, sizes", [
+    (make_stable_family(1.2, 0.5), (2000, 3001, 5000)),
+    (make_stable_family(1.5, 0.5), (2000, 4001)),
+    (geometric_model(), (2000, 5000)),
+], ids=["stable-1.2", "stable-1.5", "geometric"])
+def test_lukasiewicz_annotation_equals_loop_on_large_trees(model, sizes):
+    # heavy-tailed trees have many vertices with middle children, whose
+    # subtree ends are read off later visits to their path level
+    for j, n in enumerate(sizes):
+        degrees = sample_degree_sequence(model, n, rng_for(12, j))
+        r = cycle_rotate(degrees)
+        degrees = np.concatenate((degrees[r:], degrees[:r]))
+        np.testing.assert_array_equal(_annotate_lukasiewicz(degrees), _annotate_loop(degrees.tolist()))
+
+
+@pytest.mark.parametrize("shape", ["star", "path"])
+def test_lukasiewicz_annotation_with_wide_sort_keys(shape):
+    # the star's path reaches n - 2 and the path's depth n - 1, both above
+    # 2^16 - 1, so one of the two sorts runs on 32-bit keys, not by radix
+    n = 70_001
+    degrees = np.zeros(n, dtype=np.int64)
+    if shape == "star":
+        degrees[0] = n - 1
+    else:
+        degrees[:-1] = 1
+    np.testing.assert_array_equal(_annotate_lukasiewicz(degrees), _annotate_loop(degrees.tolist()))
+    assert build_and_annotate(degrees).height == (1 if shape == "star" else n - 1)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_list_rotation_equals_cycle_rotate(data):
