@@ -14,8 +14,6 @@ import os
 import secrets
 import sys
 
-import numpy as np
-
 from . import harness
 from .functionals import TollFunction
 from .offspring import OffspringError, geometric_model, catalan_model, make_finite_variance, make_stable_family
@@ -123,7 +121,11 @@ def resolve_options(args: argparse.Namespace) -> dict:
     if opts["seed"] is None:
         opts["seed"] = secrets.randbits(48)
     if opts["workers"] is None:
-        opts["workers"] = int(os.environ.get("BGWF_WORKERS", "1"))
+        env = os.environ.get("BGWF_WORKERS", "1")
+        try:
+            opts["workers"] = int(env)
+        except ValueError:
+            raise ValueError(f"BGWF_WORKERS must be an integer worker count, not {env!r}") from None
     if isinstance(opts["n"], int):
         opts["n"] = [opts["n"]]
     return opts
@@ -140,8 +142,12 @@ def _model_from(opts: dict):
     if family == "pmf":
         if not opts["pmf"]:
             raise OffspringError("--family pmf needs --pmf k:p,...")
-        pairs = [kv.split(":") for kv in opts["pmf"].split(",")]
-        return make_finite_variance({int(k): float(v) for k, v in pairs})
+        try:
+            table = {int(k): float(p) for k, p in (kv.split(":") for kv in opts["pmf"].split(","))}
+        except ValueError:
+            raise OffspringError(
+                f"--pmf takes a comma list k:p,... such as 0:0.5,2:0.5, not {opts['pmf']!r}") from None
+        return make_finite_variance(table)
     raise SystemExit(USAGE_ERROR)
 
 
@@ -168,6 +174,9 @@ def main(argv=None) -> int:
         opts = resolve_options(args)
     except (OSError, json.JSONDecodeError):
         print("could not read config file", file=sys.stderr)
+        return USAGE_ERROR
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     if getattr(args, "print_config", False):
         print(json.dumps({k: opts[k] for k in sorted(opts)}, sort_keys=True))

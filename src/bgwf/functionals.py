@@ -98,7 +98,7 @@ def a_measure(tree: AnnotatedTree, model: OffspringModel, toll: TollFunction) ->
 
 def rescaled_theorem1_sum(
     tree: AnnotatedTree, model: OffspringModel, alpha_prime: float, beta: float
-) -> FunctionalValue:
+) -> float:
     """(b_n^(1+beta)/n^(1+alpha'+beta)) sum over internal w of |t_w|^alpha' H(t_w)^beta.
 
     Algebraically identical to ``a_measure`` with the power toll (alpha'-1, beta).

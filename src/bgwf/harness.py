@@ -16,7 +16,6 @@ import json
 import logging
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,6 +191,8 @@ def replicate_rng(master_seed: int, replicate: int) -> np.random.Generator:
 def _map_ordered(fn, count: int, workers: int) -> list:
     if workers <= 1:
         return [fn(j) for j in range(count)]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; serial runs skip it
+
     chunk = max(1, count // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, range(count), chunksize=chunk))

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 STABLE_POWER = "stable-power"
 FINITE_VARIANCE = "finite-variance"
@@ -95,7 +94,8 @@ class OffspringModel:
         scalar = k.shape == ()
         flat_k = np.atleast_1d(k)
         if self.family == STABLE_POWER:
-            out = _stable_pmf(self.c, self.gamma, flat_k)
+            probs = _stable_pmf(self.c, self.gamma, int(flat_k.max(initial=0)) + 1)
+            out = np.where(flat_k < 0, 0.0, probs[np.maximum(flat_k, 0)])
         else:
             out = np.zeros(flat_k.shape, dtype=float)
             idx = np.searchsorted(self.table_values, flat_k)
@@ -158,26 +158,25 @@ class OffspringModel:
 # ---------------------------------------------------------------------------
 
 
-def _stable_pmf(c: float, gamma: float, k) -> np.ndarray:
-    """pmf(k) of the law with generating function s + c(1-s)^gamma.
+def _stable_pmf(c: float, gamma: float, top: int) -> np.ndarray:
+    """pmf(0..top-1) of the law with generating function s + c(1-s)^gamma.
 
-    pmf(0) = c, pmf(1) = 1 - c*gamma, pmf(k) = c (-1)^k binom(gamma, k)
-    = c Gamma(k-gamma) / (Gamma(-gamma) Gamma(k+1)) for k >= 2.
+    For k >= 2, pmf(k) = c (-1)^k binom(gamma, k), so one cumulative product
+    of the exact ratios pmf(k) / pmf(k-1) = 1 - (1 + gamma) / k builds the
+    table from c; only pmf(1) = 1 - c*gamma takes the s term.  In this form
+    the table is within 2e-14 of the exact values up to k = 16383 for gamma
+    from 1.05 to 1.99; the form (k - 1 - gamma) / k loses 3e-13 there, as
+    its numerator rounds the same way at every k.
     """
-    k = np.atleast_1d(np.asarray(k, dtype=np.int64))
-    out = np.zeros(k.shape, dtype=float)
-    out[k == 0] = c
-    out[k == 1] = max(0.0, 1.0 - c * gamma)
-    big = k >= 2
-    if big.any():
-        if gamma == 2.0:
-            out[big & (k == 2)] = c
-        else:
-            kb = k[big].astype(float)
-            log_gamma_neg = gammaln(-gamma) if gamma < 2.0 else None
-            # Gamma(-gamma) > 0 for gamma in (1, 2)
-            out[big] = c * np.exp(gammaln(kb - gamma) - gammaln(kb + 1.0) - log_gamma_neg)
-    return out
+    k = np.arange(1.0, max(top, 2))
+    out = np.cumprod(np.concatenate(([c], 1.0 - (1.0 + gamma) / k)))
+    out[1] = max(0.0, 1.0 - c * gamma)
+    return out[:top]
+
+
+def _log_abs_gamma_1m(gamma: float) -> float:
+    """log |Gamma(1 - gamma)| for gamma in (1, 2)."""
+    return math.lgamma(2.0 - gamma) - math.log(gamma - 1.0)
 
 
 def _stable_survival(c: float, gamma: float, k: int) -> float:
@@ -188,15 +187,14 @@ def _stable_survival(c: float, gamma: float, k: int) -> float:
         return 1.0 - c
     if gamma == 2.0:
         return c if k == 1 else 0.0
-    log_abs_g1 = gammaln(2.0 - gamma) - math.log(gamma - 1.0)  # log|Gamma(1-gamma)|
-    return c * math.exp(gammaln(k + 1.0 - gamma) - gammaln(k + 1.0) - log_abs_g1)
+    return c * math.exp(math.lgamma(k + 1.0 - gamma) - math.lgamma(k + 1.0) - _log_abs_gamma_1m(gamma))
 
 
 def _stable_tail_mean(c: float, gamma: float, k: int) -> float:
     """sum_{j>k} j pmf(j) = c gamma Gamma(k+1-gamma) / (Gamma(2-gamma) Gamma(k)), k >= 1."""
     if gamma == 2.0:
         return 0.0
-    return c * gamma * math.exp(gammaln(k + 1.0 - gamma) - gammaln(float(k)) - gammaln(2.0 - gamma))
+    return c * gamma * math.exp(math.lgamma(k + 1.0 - gamma) - math.lgamma(float(k)) - math.lgamma(2.0 - gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +294,10 @@ def make_stable_family(gamma: float, c: float) -> OffspringModel:
         probs = np.array([c, max(0.0, 1.0 - 2.0 * c), c])
         sigma2 = 2.0 * c
         return _finish_model(STABLE_POWER, gamma, c, sigma2, c, values, probs, 0.0, 3)
-    k_tail = (c / (math.exp(gammaln(2.0 - gamma) - math.log(gamma - 1.0)) * _TABLE_TAIL)) ** (1.0 / gamma)
+    k_tail = (c / (math.exp(_log_abs_gamma_1m(gamma)) * _TABLE_TAIL)) ** (1.0 / gamma)
     trunc_k = int(min(_TABLE_CAP, max(1024, 1.2 * k_tail)))
     values = np.arange(trunc_k)
-    probs = _stable_pmf(c, gamma, values)
+    probs = _stable_pmf(c, gamma, trunc_k)
     tail = _stable_survival(c, gamma, trunc_k - 1)
     model = _finish_model(STABLE_POWER, gamma, c, math.inf, c, values, probs, tail, trunc_k)
     drift = abs(model.total_mass() - 1.0)

@@ -26,7 +26,6 @@ from itertools import count
 from math import lgamma
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 from .offspring import OffspringModel, normalizer, support_contains
 from .theory import g0
@@ -146,10 +145,13 @@ def _tilt(n: int, rest: float, r: float) -> tuple[int, tuple, float]:
     """
     m = np.arange(n + 1)
     big = n - m
-    mode = np.minimum(np.floor((big + 1) * r), big)
+    mode = np.minimum(np.floor((big + 1) * r), big).astype(np.int64)
+    log_fact = np.array([lgamma(k) for k in range(1, n + 2)])  # log k! for k = 0..n
+    # m log(rest) with 0 log 0 = 0: rest = 0 (support {0, j}) leaves only M = 0
+    m_log_rest = m * math.log(rest) if rest else np.where(m, -math.inf, 0.0)
     # log Bin(n, rest)(m) + log Bin(big, r)(mode); the two (big)! cancel
-    log_w = (gammaln(n + 1.0) - gammaln(m + 1.0) + xlogy(m, rest) + xlog1py(big, -rest)
-             - gammaln(mode + 1.0) - gammaln(big - mode + 1.0) + xlogy(mode, r) + xlog1py(big - mode, -r))
+    log_w = (log_fact[n] - log_fact[m] + m_log_rest + big * math.log1p(-rest)
+             - log_fact[mode] - log_fact[big - mode] + mode * math.log(r) + (big - mode) * math.log1p(-r))
     top = log_w.max()
     w = np.exp(log_w - top)
     positive = np.flatnonzero(w)

@@ -23,9 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-from scipy.special import beta as _beta_fn
-
 GLOBAL = "global"
 NON_GLOBAL = "non-global"
 AS_FINITE = "as-finite"
@@ -50,6 +47,13 @@ def g0(gamma: float, kappa: float) -> float:
     if not (1.0 < gamma <= 2.0) or kappa <= 0.0:
         raise ValueError("need gamma in (1,2] and kappa > 0")
     return 1.0 / (kappa ** (1.0 / gamma) * abs(math.gamma(-1.0 / gamma)))
+
+
+def _beta_fn(a: float, b: float) -> float:
+    """Euler's beta function B(a, b) for a, b > 0."""
+    if a + b < 170.0:  # Gamma(a + b) below the float range's 1.8e308
+        return math.gamma(a) / math.gamma(a + b) * math.gamma(b)
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 def _eta(s: float) -> float:
@@ -127,6 +131,8 @@ def mass_only_moment(gamma: float, kappa: float, mass_toll, power_exponent: floa
     factor (power and power-log families), so the integral is finite exactly
     when the power toll x^power_exponent u^0 is.
     """
+    from scipy.integrate import quad  # the only scipy use; importing it costs about 0.5 s
+
     _require_finite(gamma, power_exponent, 0.0)
     inv_g = 1.0 / gamma
 

@@ -123,15 +123,22 @@ def test_invalid_range_usage_error(capsys):
     (["tail", {"n": []}], "size list n"),
     (["height-moments", {"n": []}], "size list n"),
     (["phase-scan", {"n": []}], "size list n"),
+    (["moment", "--family", "pmf", "--pmf", "1"], "k:p,..."),
+    # an environment variable, which the test's --workers flag would override
+    (["moment", "--n", "11", ("BGWF_WORKERS", "abc")], "BGWF_WORKERS"),
 ], ids=["infinite-moment", "zero-levels", "zero-kappa", "negative-kappa", "pmf-without-table",
         "one-distinct-size", "one-size", "moment-no-sizes", "tail-no-sizes",
-        "height-moments-no-sizes", "phase-scan-no-sizes"])
-def test_bad_request_is_usage_error(argv, names, capsys, tmp_path):
+        "height-moments-no-sizes", "phase-scan-no-sizes", "pmf-not-pairs", "workers-env-not-integer"])
+def test_bad_request_is_usage_error(argv, names, capsys, tmp_path, monkeypatch):
+    workers = ["--workers", "1"]
     if isinstance(argv[-1], dict):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(argv[-1]))
         argv = argv[:-1] + ["--config", str(path)]
-    code, _, err = run_cli(argv + ["--R", "2", "--seed", "1", "--workers", "1"], capsys)
+    if isinstance(argv[-1], tuple):
+        monkeypatch.setenv(*argv[-1])
+        argv, workers = argv[:-1], []
+    code, _, err = run_cli(argv + ["--R", "2", "--seed", "1"] + workers, capsys)
     assert code == 64
     last = err.splitlines()[-1]
     assert last.startswith("error: ") and names in last

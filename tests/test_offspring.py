@@ -45,6 +45,19 @@ def test_stable_pmf_against_series_oracle():
     assert got[2] == pytest.approx(0.1875, abs=1e-15)
 
 
+@pytest.mark.parametrize("gamma", [1.05, 1.2, 1.5, 1.9])
+@pytest.mark.parametrize("k", [2, 10, 1000, 10_000, 16_383])
+def test_stable_pmf_relative_error_against_mpmath(gamma, k):
+    # 16383 is the last entry of the capped table; a difference of
+    # log-gamma values is 1.25e-11 off there
+    m = make_stable_family(gamma, 0.5)
+    assert m.truncation_K > k
+    with mp.workdps(40):
+        exact = 0.5 * (-1) ** k * mp.binomial(mp.mpf(gamma), k)
+        for got in (m.table_probs[k], m.pmf(k)):
+            assert abs(float((got - exact) / exact)) <= 1e-13
+
+
 def test_stable_mean_is_one():
     for gamma, c in [(1.5, 0.5), (1.2, 0.3), (1.9, 0.5), (2.0, 0.4)]:
         m = make_stable_family(gamma, c)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bgwf.theory import (
+    _beta_fn,
     AS_FINITE,
     AS_INFINITE,
     GLOBAL,
@@ -99,6 +100,13 @@ def test_stable_moment_matches_brownian():
     )
     with pytest.raises(InfiniteMomentError):
         stable_moment(1.5, 1.0, -1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("a, b", [(1e-3, 0.5), (0.25, 1 / 3), (1.0, 1.0), (2.5, 0.5), (40.0, 0.9),
+                                  (120.3, 49.6), (169.0, 0.5), (300.0, 1 / 6)])
+def test_beta_function_against_mpmath(a, b):
+    with mp.workdps(40):
+        assert _beta_fn(a, b) == pytest.approx(float(mp.beta(a, b)), rel=1e-12)
 
 
 def test_mass_only_moment():
