@@ -47,7 +47,7 @@ from .theory import (
     max_excursion_moment,
     brownian_moment,
     stable_moment,
-    mass_only_moment,
+    power_log_moment,
     phase_regime,
     finiteness,
     GLOBAL,

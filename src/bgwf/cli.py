@@ -103,6 +103,26 @@ _DEFAULTS = {
 }
 
 
+def _check_config_types(cfg: dict, command: str) -> None:
+    """Raise ValueError naming the first config key whose value does not fit its flag's type.
+
+    A float flag takes JSON ints too; a list flag, and the size list n,
+    takes a list of values or one value; null is valid where the default is.
+    """
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    flags = {a.dest: a for a in commands[command]._actions if a.type is not None}
+    for key, val in cfg.items():
+        flag = flags.get(key)
+        if flag is None or (val is None and _DEFAULTS.get(key) is None):
+            continue
+        kinds = (int, float) if flag.type is float else (flag.type,)
+        listed = flag.nargs == "+" or isinstance(_DEFAULTS.get(key), list)
+        items = val if listed and isinstance(val, list) else [val]
+        if not all(isinstance(v, kinds) and not isinstance(v, bool) for v in items):
+            form = f"{flag.type.__name__} or a list of them" if listed else flag.type.__name__
+            raise ValueError(f"config key {key} takes {form}, not {val!r}")
+
+
 def resolve_options(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags; returns the flat dict."""
     opts = dict(_DEFAULTS)
@@ -112,6 +132,7 @@ def resolve_options(args: argparse.Namespace) -> dict:
             cfg = json.load(fh)
         if not isinstance(cfg, dict) or any(isinstance(v, dict) for v in cfg.values()):
             raise SystemExit(USAGE_ERROR)
+        _check_config_types(cfg, args.command)
         opts.update(cfg)
     for key, val in vars(args).items():
         if key in ("command", "config", "print_config", "verbose"):
@@ -126,8 +147,9 @@ def resolve_options(args: argparse.Namespace) -> dict:
             opts["workers"] = int(env)
         except ValueError:
             raise ValueError(f"BGWF_WORKERS must be an integer worker count, not {env!r}") from None
-    if isinstance(opts["n"], int):
-        opts["n"] = [opts["n"]]
+    for key, default in _DEFAULTS.items():  # one value stands for a list of one
+        if isinstance(default, list) and not isinstance(opts[key], list):
+            opts[key] = [opts[key]]
     return opts
 
 
@@ -149,6 +171,17 @@ def _model_from(opts: dict):
                 f"--pmf takes a comma list k:p,... such as 0:0.5,2:0.5, not {opts['pmf']!r}") from None
         return make_finite_variance(table)
     raise SystemExit(USAGE_ERROR)
+
+
+def _power_log_alpha(toll: str) -> float:
+    """A of the toll powerlog:A, the one --toll form."""
+    kind, _, alpha = toll.partition(":")
+    if kind == "powerlog":
+        try:
+            return float(alpha)
+        except ValueError:
+            pass
+    raise ValueError(f"--toll takes powerlog:A with A a number, such as powerlog:0.5, not {toll!r}")
 
 
 def _emit(report: harness.McReport, opts: dict) -> int:
@@ -222,10 +255,10 @@ def _dispatch(command: str, opts: dict) -> int:
 
     if command == "moment":
         model = _model_from(opts)
-        if opts.get("toll") and str(opts["toll"]).startswith("powerlog:"):
-            tolls = [TollFunction.power_log(float(str(opts["toll"]).split(":")[1]))]
-        else:
+        if opts["toll"] is None:
             tolls = [TollFunction.power(opts["alpha_prime"] - 1.0, opts["beta"])]
+        else:
+            tolls = [TollFunction.power_log(_power_log_alpha(opts["toll"]))]
         cfg = harness.ExperimentConfig(
             mode=harness.MODE_MOMENT, model=model, sizes=list(opts["n"]), replicates=opts["R"],
             tolls=tolls, master_seed=seed, workers=workers)
@@ -234,7 +267,7 @@ def _dispatch(command: str, opts: dict) -> int:
     if command == "phase-scan":
         model = _model_from(opts)
         aprimes = opts["alpha_prime"]
-        if isinstance(aprimes, float):
+        if not isinstance(aprimes, list):
             aprimes = [aprimes]
         cfg = harness.ExperimentConfig(
             mode=harness.MODE_PHASE, model=model, sizes=list(opts["n"]), replicates=opts["R"],

@@ -13,6 +13,7 @@ products) are summed exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -29,7 +30,7 @@ CUSTOM = "custom"
 def _pow(v: np.ndarray, e: float) -> np.ndarray:
     if e == 0.0:
         return np.ones_like(v, dtype=float)  # 0^0 = 1 convention
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.power(v, e, dtype=float)
 
 
@@ -102,12 +103,19 @@ def rescaled_theorem1_sum(
     """(b_n^(1+beta)/n^(1+alpha'+beta)) sum over internal w of |t_w|^alpha' H(t_w)^beta.
 
     Algebraically identical to ``a_measure`` with the power toll (alpha'-1, beta).
+    Raises ValueError when the prefactor or the sum leaves the float range.
     """
     n = tree.n
     b = normalizer(model, n)
     sizes, heights = tree.internal_stats
     terms = _pow(sizes, alpha_prime) * _pow(heights, beta)
-    return b ** (1.0 + beta) / n ** (1.0 + alpha_prime + beta) * float(terms.sum())
+    try:
+        value = b ** (1.0 + beta) / n ** (1.0 + alpha_prime + beta) * float(terms.sum())
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"rescaled sum of toll x^{alpha_prime - 1.0:g}*u^{beta:g} not finite at n={n}")
+    return value
 
 
 def b1_index(tree: AnnotatedTree) -> float:

@@ -298,8 +298,7 @@ def _toll_theory(model: OffspringModel, toll: TollFunction, height_moments: dict
         if exps is None:
             if toll.kind != "power-log":
                 return None
-            return theory.mass_only_moment(
-                gamma, kappa, lambda x: abs(math.log(x)) * x ** toll.alpha, toll.alpha)
+            return theory.power_log_moment(gamma, kappa, toll.alpha)
         alpha, beta = exps
         if gamma == 2.0:
             return theory.brownian_moment(kappa, alpha, beta)
@@ -707,6 +706,8 @@ def run_selftest() -> tuple[bool, list[str]]:
     check("g(0) catalan", theory.g0(2.0, 0.5), 1.0 / math.sqrt(2.0 * math.pi))
     check("brownian moment (0,0)", theory.brownian_moment(0.5, 0.0, 0.0), math.sqrt(math.pi / 2.0))
     check("brownian moment (1,0)", theory.brownian_moment(0.5, 1.0, 0.0), 0.6266570686577501)
+    check("power-log moment gamma=2 alpha=0", theory.power_log_moment(2.0, 0.5, 0.0),
+          theory.g0(2.0, 0.5) * 2.0 * math.pi * math.log(2.0))
     cat = catalan_model()
     check("catalan b_9", normalizer(cat, 9), 3.0)
     check("geometric sigma^2", geometric_model().sigma2, 2.0)

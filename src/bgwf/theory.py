@@ -16,6 +16,14 @@ Brownian case E[H^beta] is explicit through the completed (xi) form of the
 zeta function, giving
 
     (1/sqrt(pi kappa)) (pi/kappa)^(beta/2) xi(beta) B(alpha + (beta+1)/2, 1/2).
+
+The mass-only toll |log x| x^alpha (power-log) has first moment
+
+    g(0) * int_0^1 x^(-1/gamma) (1-x)^(-1/gamma) |log x| x^alpha dx
+        = g(0) * B(a, b) (digamma(a + b) - digamma(a)),  a = alpha + b,  b = 1 - 1/gamma,
+
+minus the a-derivative of Euler's beta integral; it is finite exactly when
+the power toll x^alpha u^0 is.
 """
 
 from __future__ import annotations
@@ -124,30 +132,24 @@ def stable_moment(gamma: float, kappa: float, alpha: float, beta: float, height_
     return g0(gamma, kappa) * _beta_fn(a, 1.0 - 1.0 / gamma) * height_moment
 
 
-def mass_only_moment(gamma: float, kappa: float, mass_toll, power_exponent: float) -> float:
-    """E of the mass-only functional: g(0) * int_0^1 x^(-1/g) (1-x)^(-1/g) f(x) dx.
+def _digamma(x: float) -> float:
+    """Digamma d(x) for x > 0: shift up by d(x) = d(x+1) - 1/x until x >= 12,
+    then log x - 1/(2x) - sum_{k=1..5} B_2k / (2k x^(2k)); the next term is 2.4e-15 at x = 12."""
+    shift = 0.0
+    while x < 12.0:
+        shift -= 1.0 / x
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    series = inv2 * (1 / 12 - inv2 * (1 / 120 - inv2 * (1 / 252 - inv2 * (1 / 240 - inv2 / 132))))
+    return shift + math.log(x) - 0.5 / x - series
 
-    The toll f behaves like x^power_exponent near 0, up to a logarithmic
-    factor (power and power-log families), so the integral is finite exactly
-    when the power toll x^power_exponent u^0 is.
-    """
-    from scipy.integrate import quad  # the only scipy use; importing it costs about 0.5 s
 
-    _require_finite(gamma, power_exponent, 0.0)
-    inv_g = 1.0 / gamma
-
-    def left(t):  # x = t^3 kills the x^(-1/gamma) singularity
-        x = t**3
-        return 3.0 * t * t * x ** (-inv_g) * (1.0 - x) ** (-inv_g) * mass_toll(x)
-
-    def right(t):  # x = 1 - t^3 likewise at 1
-        x = 1.0 - t**3
-        return 3.0 * t * t * x ** (-inv_g) * t ** (-3.0 * inv_g) * mass_toll(x)
-
-    t_half = 0.5 ** (1.0 / 3.0)
-    lval, _ = quad(left, 0.0, t_half, limit=400, epsabs=1e-11, epsrel=1e-11)
-    rval, _ = quad(right, 0.0, t_half, limit=400, epsabs=1e-11, epsrel=1e-11)
-    return g0(gamma, kappa) * (lval + rval)
+def power_log_moment(gamma: float, kappa: float, alpha: float) -> float:
+    """First moment of the mass-only functional with toll |log x| x^alpha."""
+    _require_finite(gamma, alpha, 0.0)
+    b = 1.0 - 1.0 / gamma
+    a = alpha + b
+    return g0(gamma, kappa) * _beta_fn(a, b) * (_digamma(a + b) - _digamma(a))
 
 
 def phase_regime(gamma: float, alpha_prime: float, beta: float) -> PhaseVerdict:

@@ -126,9 +126,19 @@ def test_invalid_range_usage_error(capsys):
     (["moment", "--family", "pmf", "--pmf", "1"], "k:p,..."),
     # an environment variable, which the test's --workers flag would override
     (["moment", "--n", "11", ("BGWF_WORKERS", "abc")], "BGWF_WORKERS"),
+    # config values of the wrong type, checked even where a flag overrides them
+    (["moment", "--n", "11", {"workers": "abc"}], "workers"),
+    (["moment", "--n", "11", {"family": "pmf", "pmf": 5}], "pmf"),
+    (["moment", {"n": 11.5}], "key n"),
+    (["moment", "--n", "11", {"R": "7"}], "key R"),
+    (["moment", "--n", "11", "--toll", "bogus"], "powerlog:A"),
+    (["moment", "--n", "10001", "--alpha-prime", "100"], "n=10001"),
+    (["moment", "--n", "10001", "--alpha-prime", "80", "--beta", "-5"], "n=10001"),
 ], ids=["infinite-moment", "zero-levels", "zero-kappa", "negative-kappa", "pmf-without-table",
         "one-distinct-size", "one-size", "moment-no-sizes", "tail-no-sizes",
-        "height-moments-no-sizes", "phase-scan-no-sizes", "pmf-not-pairs", "workers-env-not-integer"])
+        "height-moments-no-sizes", "phase-scan-no-sizes", "pmf-not-pairs", "workers-env-not-integer",
+        "config-workers-not-int", "config-pmf-not-str", "config-n-not-int", "config-R-not-int",
+        "toll-not-powerlog", "sum-overflows", "sum-not-finite"])
 def test_bad_request_is_usage_error(argv, names, capsys, tmp_path, monkeypatch):
     workers = ["--workers", "1"]
     if isinstance(argv[-1], dict):

@@ -68,6 +68,14 @@ def test_rescaled_equals_a_measure_identity(rng):
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+@pytest.mark.parametrize("aprime, beta", [(100.0, 0.0), (95.0, -10.0), (-300.0, 0.0)],
+                         ids=["prefactor-overflows", "sum-overflows", "prefactor-underflows"])
+def test_rescaled_sum_outside_float_range_is_refused(aprime, beta):
+    path = build_and_annotate(np.array([1] * 2000 + [0]))
+    with pytest.raises(ValueError, match=r"x\^.*\*u\^.* not finite at n=2001"):
+        rescaled_theorem1_sum(path, catalan_model(), aprime, beta)
+
+
 def test_b1_examples():
     assert b1_index(build_and_annotate(CHERRY)) == 0.0
     assert b1_index(build_and_annotate(np.array([1, 1, 1, 0]))) == 1.5

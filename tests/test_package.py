@@ -9,8 +9,8 @@ import bgwf
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Everything that imports no scipy: every law, a stable phase scan and power
-# moment, an exact LLT row, a short continuum run and the self test.
+# Everything that imports no scipy: every law, a stable phase scan, power and
+# power-log moments, an exact LLT row, a short continuum run and the self test.
 NO_SCIPY_RUN = """
 from bgwf import harness, offspring
 from bgwf.functionals import TollFunction
@@ -23,18 +23,13 @@ harness.run_phase_scan(harness.ExperimentConfig(mode="phase-scan", model=stable,
                                                 alpha_primes=[0.8], beta=0.5, master_seed=1))
 harness.run_moment(harness.ExperimentConfig(mode="moment", model=stable, sizes=[101], replicates=4,
                                             tolls=[TollFunction.power(0.5, 0.5)], master_seed=1))
+for model in (models[0], stable):
+    harness.run_moment(harness.ExperimentConfig(mode="moment", model=model, sizes=[101], replicates=4,
+                                                tolls=[TollFunction.power_log(0.5)], master_seed=1))
 harness.run_llt(stable, [1001])
 harness.run_continuum(harness.ExperimentConfig(mode="continuum", m_grid=200, replicates=2,
                                                tolls=[TollFunction.power(0.0, 0.0)], master_seed=1))
 assert harness.run_selftest()[0]
-"""
-
-POWER_LOG_RUN = """
-from bgwf import harness, offspring
-from bgwf.functionals import TollFunction
-
-harness.run_moment(harness.ExperimentConfig(mode="moment", model=offspring.catalan_model(), sizes=[101],
-                                            replicates=4, tolls=[TollFunction.power_log(0.5)], master_seed=1))
 """
 
 
@@ -49,10 +44,6 @@ def scipy_modules_loaded(code: str) -> list[str]:
 
 def test_runs_without_scipy():
     assert scipy_modules_loaded(NO_SCIPY_RUN) == []
-
-
-def test_power_log_theory_imports_quadrature():
-    assert "scipy.integrate" in scipy_modules_loaded(POWER_LOG_RUN)
 
 
 def test_public_functions_have_resolvable_type_hints():

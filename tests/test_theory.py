@@ -6,6 +6,7 @@ import pytest
 
 from bgwf.theory import (
     _beta_fn,
+    _digamma,
     AS_FINITE,
     AS_INFINITE,
     GLOBAL,
@@ -14,9 +15,9 @@ from bgwf.theory import (
     brownian_moment,
     finiteness,
     g0,
-    mass_only_moment,
     max_excursion_moment,
     phase_regime,
+    power_log_moment,
     riemann_xi,
     stable_moment,
 )
@@ -110,23 +111,37 @@ def test_beta_function_against_mpmath(a, b):
 
 
 def test_mass_only_moment():
-    got = mass_only_moment(2.0, 0.5, lambda x: 1.0, power_exponent=0.0)
-    assert got == pytest.approx(brownian_moment(0.5, 0.0, 0.0), rel=1e-8)
-    got = mass_only_moment(2.0, 0.5, lambda x: x, power_exponent=1.0)
-    assert got == pytest.approx(brownian_moment(0.5, 1.0, 0.0), rel=1e-8)
+    # the power-log toll |log x| x^alpha is finite exactly where x^alpha is
     with pytest.raises(InfiniteMomentError):
-        mass_only_moment(2.0, 0.5, lambda x: x**-0.5, power_exponent=-0.5)
-    got = mass_only_moment(2.0, 0.5, lambda x: math.sqrt(x), power_exponent=0.5)
-    assert got == pytest.approx(g0(2.0, 0.5) * float(mp.beta(1, 0.5)), rel=1e-8)
+        power_log_moment(2.0, 0.5, -0.5)
 
 
 def test_mass_only_moment_power_log():
     # int x^(a-1)(1-x)^(b-1)(-log x) dx = B(a,b)(psi(a+b) - psi(a)):
     # a = b = 1/2 gives pi * 2 log 2; a = 1, b = 1/2 gives 4 - 4 log 2
-    got = mass_only_moment(2.0, 0.5, lambda x: abs(math.log(x)), power_exponent=0.0)
-    assert got == pytest.approx(g0(2.0, 0.5) * 2 * math.pi * math.log(2), rel=1e-8)
-    got = mass_only_moment(2.0, 0.5, lambda x: abs(math.log(x)) * math.sqrt(x), power_exponent=0.5)
-    assert got == pytest.approx(g0(2.0, 0.5) * (4 - 4 * math.log(2)), rel=1e-8)
+    got = power_log_moment(2.0, 0.5, 0.0)
+    assert got == pytest.approx(g0(2.0, 0.5) * 2 * math.pi * math.log(2), rel=1e-13)
+    got = power_log_moment(2.0, 0.5, 0.5)
+    assert got == pytest.approx(g0(2.0, 0.5) * (4 - 4 * math.log(2)), rel=1e-13)
+
+
+@pytest.mark.parametrize("gamma", [1.05, 1.2, 1.5, 1.9, 2.0])
+def test_power_log_moment_against_mpmath(gamma):
+    # from near the finiteness edge alpha = 1/gamma - 1 up to alpha = 20; the
+    # reference is minus the a-derivative of the beta integral, at 40 digits
+    edge = 1.0 / gamma - 1.0
+    for alpha in (0.9 * edge, 0.5 * edge, 0.0, 0.5, 1.0, 4.0, 20.0):
+        with mp.workdps(40):
+            g, b = mp.mpf(gamma), 1 - 1 / mp.mpf(gamma)
+            g0_mp = 1 / (mp.mpf(0.5) ** (1 / g) * abs(mp.gamma(-1 / g)))
+            want = -g0_mp * mp.diff(lambda a: mp.beta(a, b), mp.mpf(alpha) + b)
+        assert power_log_moment(gamma, 0.5, alpha) == pytest.approx(float(want), rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [1e-3, 0.1, 0.5, 1.0, 1.4616321449683622, 2.5, 11.9, 12.0, 50.0, 1e3, 1e6])
+def test_digamma_against_mpmath(x):
+    # 1.4616... is the positive zero of digamma, where only an absolute bound holds
+    assert _digamma(x) == pytest.approx(float(mp.digamma(x)), rel=1e-14, abs=1e-14)
 
 
 def test_phase_regime_examples():
