@@ -1,8 +1,9 @@
 """Command line front end for the Monte Carlo harness.
 
-A config file is a flat JSON object whose keys mirror the long flag names
-(with underscores); explicit flags override config values.  Every randomized
-command prints the resolved seed on stderr, auto-generated or not.
+``_OPTIONS`` gives each option its type, default and help; ``_COMMANDS`` lists
+the options each command reads.  A config file is a flat JSON object keyed by
+those option names; explicit flags override it.  Every randomized command
+prints the resolved seed on stderr, auto-generated or not.
 """
 
 from __future__ import annotations
@@ -13,10 +14,13 @@ import logging
 import os
 import secrets
 import sys
+from typing import NamedTuple
 
 from . import harness
+from .continuum import sample_excursion
 from .functionals import TollFunction
-from .offspring import OffspringError, geometric_model, catalan_model, make_finite_variance, make_stable_family
+from .offspring import (OffspringError, catalan_model, geometric_model, make_finite_variance,
+                        make_stable_family, snap_to_support)
 from .sampler import sample_conditioned
 
 USAGE_ERROR = 64
@@ -25,131 +29,124 @@ USAGE_ERROR = 64
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
 
 
-def _add_family_flags(p):
-    p.add_argument("--family", choices=["catalan", "geometric", "stable", "pmf"], default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--pmf", type=str, default=None, help="comma list k:p for --family pmf")
+class _Option(NamedTuple):
+    type: type
+    default: object
+    help: str
+    choices: tuple | None = None
 
 
-def _add_common_flags(p, sizes="+"):
-    p.add_argument("--n", type=int, nargs=sizes, default=None)
-    p.add_argument("--R", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--out", type=str, default=None, help="CSV output path (default stdout)")
-    p.add_argument("--json-out", type=str, default=None)
-    p.add_argument("--config", type=str, default=None)
-    p.add_argument("--print-config", action="store_true")
-    p.add_argument("-v", "--verbose", action="store_true", help="log at INFO level on stderr")
+_OPTIONS = {
+    "family": _Option(str, "catalan", "offspring law", ("catalan", "geometric", "stable", "pmf")),
+    "gamma": _Option(float, 1.5, "stable index of --family stable, in (1, 2]"),
+    "c": _Option(float, 0.5, "pmf(0) of --family stable"),
+    "pmf": _Option(str, None, "comma list k:p for --family pmf"),
+    "n": _Option(int, 1001, "tree size; sizes off the support snap up"),
+    "R": _Option(int, 1000, "replicates per size"),
+    "seed": _Option(int, None, "master seed (default: a fresh random one)"),
+    "workers": _Option(int, None, "worker processes (default: BGWF_WORKERS, else 1)"),
+    "out": _Option(str, None, "CSV output path (default stdout)"),
+    "json_out": _Option(str, None, "JSON report path"),
+    "alpha_prime": _Option(float, 1.0, "subtree-size exponent; the toll is x^(alpha'-1) u^beta"),
+    "beta": _Option(float, 0.0, "height exponent of the toll"),
+    "toll": _Option(str, None, "powerlog:<alpha> for the log family"),
+    "p": _Option(float, [-1.0, 1.0, 2.0], "orders of the height moments"),
+    "kappa": _Option(float, 0.5, "stable constant of the Brownian tree"),
+    "m": _Option(int, 10_000, "excursion grid points"),
+    "levels": _Option(int, 1024, "sweep levels"),
+    "alpha": _Option(float, 0.0, "mass exponent of the toll x^alpha u^beta"),
+    "dump_excursion": _Option(str, None, "CSV path for replicate 0's excursion"),
+}
+
+# The options each command reads, in flag order; "+" marks an option the
+# command takes as a list of one or more values.
+_LAW = ("family", "gamma", "c", "pmf")
+_RUN = ("R", "seed", "workers", "out", "json_out")
+_COMMANDS = {
+    "sample": ("sample one conditioned tree and dump it as CSV", _LAW + ("n", "seed", "out")),
+    "moment": ("Monte Carlo mean of the rescaled sum vs theory",
+               _LAW + ("n+",) + _RUN + ("alpha_prime", "beta", "toll")),
+    "phase-scan": ("divergence/convergence verdicts across sizes",
+                   _LAW + ("n+",) + _RUN + ("alpha_prime+", "beta")),
+    "llt": ("exact local-limit-theorem check (no Monte Carlo)", _LAW + ("n+", "out", "json_out")),
+    "height-moments": ("empirical moments of the rescaled height", _LAW + ("n+",) + _RUN + ("p+",)),
+    "tail": ("tail exponent fits for the rescaled height", _LAW + ("n+",) + _RUN),
+    "continuum": ("Brownian excursion level-sweep vs theory",
+                  _RUN + ("kappa", "m", "levels", "alpha", "beta", "dump_excursion")),
+}
+
+
+def _reads(command: str) -> dict[str, bool]:
+    """{option: takes a list} for the options command reads."""
+    return {name.rstrip("+"): name.endswith("+") for name in _COMMANDS[command][1]}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="bgwf", description="additive functionals of conditioned branching trees")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sample", help="sample one conditioned tree and dump it as CSV")
-    _add_family_flags(p)
-    _add_common_flags(p, sizes=None)
-
-    p = sub.add_parser("moment", help="Monte Carlo mean of the rescaled sum vs theory")
-    _add_family_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--alpha-prime", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--toll", type=str, default=None, help="powerlog:<alpha> for the log family")
-
-    p = sub.add_parser("phase-scan", help="divergence/convergence verdicts across sizes")
-    _add_family_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--alpha-prime", type=float, nargs="+", default=None)
-    p.add_argument("--beta", type=float, default=None)
-
-    p = sub.add_parser("llt", help="exact local-limit-theorem check (no Monte Carlo)")
-    _add_family_flags(p)
-    _add_common_flags(p)
-
-    p = sub.add_parser("height-moments", help="empirical moments of the rescaled height")
-    _add_family_flags(p)
-    _add_common_flags(p)
-    p.add_argument("--p", type=float, nargs="+", default=None)
-
-    p = sub.add_parser("tail", help="tail exponent fits for the rescaled height")
-    _add_family_flags(p)
-    _add_common_flags(p)
-
-    p = sub.add_parser("continuum", help="Brownian excursion level-sweep vs theory")
-    _add_common_flags(p, sizes=None)
-    p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--dump-excursion", type=str, default=None)
-
+    for command, (summary, _) in _COMMANDS.items():
+        # a flag left out is absent from the namespace, so the config file shows through;
+        # no abbreviations, so moment --alpha is refused rather than read as --alpha-prime
+        p = sub.add_parser(command, help=summary, argument_default=argparse.SUPPRESS, allow_abbrev=False)
+        for name, listed in _reads(command).items():
+            opt = _OPTIONS[name]
+            p.add_argument("--" + name.replace("_", "-"), type=opt.type, nargs="+" if listed else None,
+                           choices=opt.choices, help=opt.help)
+        p.add_argument("--config", help="flat JSON object of option values; flags win")
+        p.add_argument("--print-config", action="store_true", help="print the resolved options and exit")
+        p.add_argument("-v", "--verbose", action="store_true", help="log at INFO level on stderr")
     sub.add_parser("selftest", help="run the fast golden-value suite")
     return parser
 
 
-_DEFAULTS = {
-    "family": "catalan", "gamma": 1.5, "c": 0.5, "pmf": None,
-    "n": [1001], "R": 1000, "seed": None, "workers": None,
-    "alpha": 0.0, "alpha_prime": 1.0, "beta": 0.0, "toll": None, "p": [-1.0, 1.0, 2.0],
-    "kappa": 0.5, "m": 10_000, "levels": 1024,
-    "out": None, "json_out": None, "dump_excursion": None,
-}
+def _check_config(cfg: dict, command: str, reads: dict[str, bool]) -> None:
+    """Raise ValueError naming the first config key command has no option for or whose value misfits.
 
-
-def _check_config_types(cfg: dict, command: str) -> None:
-    """Raise ValueError naming the first config key whose value does not fit its flag's type.
-
-    A float flag takes JSON ints too; a list flag, and the size list n,
-    takes a list of values or one value; null is valid where the default is.
+    A float option takes JSON ints too; a list option takes a list of values
+    or one value; null is valid where the default is.
     """
-    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
-    flags = {a.dest: a for a in commands[command]._actions if a.type is not None}
     for key, val in cfg.items():
-        flag = flags.get(key)
-        if flag is None or (val is None and _DEFAULTS.get(key) is None):
+        if key not in reads:
+            raise ValueError(f"config key {key} names no option of {command}")
+        opt = _OPTIONS[key]
+        if val is None and opt.default is None:
             continue
-        kinds = (int, float) if flag.type is float else (flag.type,)
-        listed = flag.nargs == "+" or isinstance(_DEFAULTS.get(key), list)
-        items = val if listed and isinstance(val, list) else [val]
+        kinds = (int, float) if opt.type is float else (opt.type,)
+        items = val if reads[key] and isinstance(val, list) else [val]
         if not all(isinstance(v, kinds) and not isinstance(v, bool) for v in items):
-            form = f"{flag.type.__name__} or a list of them" if listed else flag.type.__name__
+            form = f"{opt.type.__name__} or a list of them" if reads[key] else opt.type.__name__
             raise ValueError(f"config key {key} takes {form}, not {val!r}")
+        if opt.choices and val not in opt.choices:
+            raise ValueError(f"config key {key} takes one of {', '.join(opt.choices)}, not {val!r}")
 
 
 def resolve_options(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags; returns the flat dict."""
-    opts = dict(_DEFAULTS)
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
-        with open(cfg_path) as fh:
+    """The options args.command reads: table defaults < config file < explicit flags."""
+    reads = _reads(args.command)
+    opts = {name: _OPTIONS[name].default for name in reads}
+    if getattr(args, "config", None):
+        with open(args.config) as fh:
             cfg = json.load(fh)
-        if not isinstance(cfg, dict) or any(isinstance(v, dict) for v in cfg.values()):
-            raise SystemExit(USAGE_ERROR)
-        _check_config_types(cfg, args.command)
+        if not isinstance(cfg, dict):
+            raise ValueError("a config file holds one flat JSON object")
+        _check_config(cfg, args.command, reads)
         opts.update(cfg)
-    for key, val in vars(args).items():
-        if key in ("command", "config", "print_config", "verbose"):
-            continue
-        if val is not None:
-            opts[key] = val
-    if opts["seed"] is None:
+    opts.update((key, val) for key, val in vars(args).items() if key in reads)
+    if "seed" in reads and opts["seed"] is None:
         opts["seed"] = secrets.randbits(48)
-    if opts["workers"] is None:
+    if "workers" in reads and opts["workers"] is None:
         env = os.environ.get("BGWF_WORKERS", "1")
         try:
             opts["workers"] = int(env)
         except ValueError:
             raise ValueError(f"BGWF_WORKERS must be an integer worker count, not {env!r}") from None
-    for key, default in _DEFAULTS.items():  # one value stands for a list of one
-        if isinstance(default, list) and not isinstance(opts[key], list):
-            opts[key] = [opts[key]]
+    for name, listed in reads.items():  # one value stands for a list of one; no caller gets the table's list
+        if listed:
+            opts[name] = list(opts[name]) if isinstance(opts[name], list) else [opts[name]]
     return opts
 
 
@@ -161,16 +158,14 @@ def _model_from(opts: dict):
         return geometric_model()
     if family == "stable":
         return make_stable_family(opts["gamma"], opts["c"])
-    if family == "pmf":
-        if not opts["pmf"]:
-            raise OffspringError("--family pmf needs --pmf k:p,...")
-        try:
-            table = {int(k): float(p) for k, p in (kv.split(":") for kv in opts["pmf"].split(","))}
-        except ValueError:
-            raise OffspringError(
-                f"--pmf takes a comma list k:p,... such as 0:0.5,2:0.5, not {opts['pmf']!r}") from None
-        return make_finite_variance(table)
-    raise SystemExit(USAGE_ERROR)
+    if not opts["pmf"]:
+        raise OffspringError("--family pmf needs --pmf k:p,...")
+    try:
+        table = {int(k): float(p) for k, p in (kv.split(":") for kv in opts["pmf"].split(","))}
+    except ValueError:
+        raise OffspringError(
+            f"--pmf takes a comma list k:p,... such as 0:0.5,2:0.5, not {opts['pmf']!r}") from None
+    return make_finite_variance(table)
 
 
 def _power_log_alpha(toll: str) -> float:
@@ -182,18 +177,6 @@ def _power_log_alpha(toll: str) -> float:
         except ValueError:
             pass
     raise ValueError(f"--toll takes powerlog:A with A a number, such as powerlog:0.5, not {toll!r}")
-
-
-def _emit(report: harness.McReport, opts: dict) -> int:
-    if opts["out"]:
-        report.to_csv(opts["out"])
-    else:
-        sys.stdout.write(report.to_csv())
-    if opts["json_out"]:
-        report.to_json(opts["json_out"])
-    for name, ok in report.checks:
-        print(f"# {'PASS' if ok else 'FAIL'} {name}", file=sys.stderr)
-    return report.exit_code()
 
 
 def main(argv=None) -> int:
@@ -212,9 +195,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     if getattr(args, "print_config", False):
-        print(json.dumps({k: opts[k] for k in sorted(opts)}, sort_keys=True))
+        print(json.dumps(opts, sort_keys=True))
         return 0
-    print(f"# seed: {opts['seed']}", file=sys.stderr)
+    if "seed" in opts:
+        print(f"# seed: {opts['seed']}", file=sys.stderr)
 
     # the harness logs to "bgwf"; the handler lives for this call only and
     # does not propagate, so a caller's root handler prints nothing twice
@@ -222,7 +206,7 @@ def main(argv=None) -> int:
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("# %(levelname)s %(message)s"))
     saved = log.level, log.propagate
-    log.setLevel("INFO" if args.verbose else "WARNING")
+    log.setLevel("INFO" if getattr(args, "verbose", False) else "WARNING")
     log.propagate = False
     log.addHandler(handler)
     try:
@@ -236,83 +220,58 @@ def main(argv=None) -> int:
         log.propagate = saved[1]
 
 
-def _dispatch(command: str, opts: dict) -> int:
-    seed = opts["seed"]
-    workers = opts["workers"]
+def _experiment(mode: str, opts: dict, **fields) -> harness.ExperimentConfig:
+    """The ExperimentConfig of a Monte Carlo command; tree commands add their law and sizes."""
+    if "family" in opts:
+        fields.update(model=_model_from(opts), sizes=opts["n"])
+    return harness.ExperimentConfig(mode=mode, replicates=opts["R"], master_seed=opts["seed"],
+                                    workers=opts["workers"], **fields)
 
+
+def _dispatch(command: str, opts: dict) -> int:
     if command == "sample":
         model = _model_from(opts)
-        rng = harness.replicate_rng(seed, 0)
-        from .offspring import snap_to_support
-
-        n = snap_to_support(model, opts["n"][0])
-        tree = sample_conditioned(model, n, rng)
-        if opts["out"]:
-            tree.to_csv(opts["out"])
-        else:
-            tree.to_csv(sys.stdout)
+        tree = sample_conditioned(model, snap_to_support(model, opts["n"]),
+                                  harness.replicate_rng(opts["seed"], 0))
+        tree.to_csv(opts["out"] or sys.stdout)
         return 0
-
-    if command == "moment":
-        model = _model_from(opts)
+    if command == "llt":
+        report = harness.run_llt(_model_from(opts), opts["n"])
+    elif command == "moment":
         if opts["toll"] is None:
             tolls = [TollFunction.power(opts["alpha_prime"] - 1.0, opts["beta"])]
         else:
             tolls = [TollFunction.power_log(_power_log_alpha(opts["toll"]))]
-        cfg = harness.ExperimentConfig(
-            mode=harness.MODE_MOMENT, model=model, sizes=list(opts["n"]), replicates=opts["R"],
-            tolls=tolls, master_seed=seed, workers=workers)
-        return _emit(harness.run_moment(cfg), opts)
-
-    if command == "phase-scan":
-        model = _model_from(opts)
-        aprimes = opts["alpha_prime"]
-        if not isinstance(aprimes, list):
-            aprimes = [aprimes]
-        cfg = harness.ExperimentConfig(
-            mode=harness.MODE_PHASE, model=model, sizes=list(opts["n"]), replicates=opts["R"],
-            alpha_primes=list(aprimes), beta=opts["beta"], master_seed=seed, workers=workers)
-        report = harness.run_phase_scan(cfg)
+        report = harness.run_moment(_experiment(harness.MODE_MOMENT, opts, tolls=tolls))
+    elif command == "phase-scan":
+        report = harness.run_phase_scan(_experiment(
+            harness.MODE_PHASE, opts, alpha_primes=opts["alpha_prime"], beta=opts["beta"]))
         for aprime, v in report.extras["verdicts"].items():
             if v["verdict"] is None:
-                empty = ", ".join(map(str, v["empty_sizes"]))
-                print(f"# alpha'={aprime:g}: no verdict (n={empty} kept no tree)", file=sys.stderr)
-                continue
-            print(f"# alpha'={aprime:g}: {v['verdict']} (predicted {v['predicted_regime']}, "
-                  f"margin {v['margin']:+g})", file=sys.stderr)
-        return _emit(report, opts)
-
-    if command == "llt":
-        model = _model_from(opts)
-        return _emit(harness.run_llt(model, list(opts["n"]), master_seed=seed), opts)
-
-    if command == "height-moments":
-        model = _model_from(opts)
-        cfg = harness.ExperimentConfig(
-            mode=harness.MODE_HEIGHT, model=model, sizes=list(opts["n"]), replicates=opts["R"],
-            p_list=list(opts["p"]), master_seed=seed, workers=workers)
-        return _emit(harness.run_height_moments(cfg), opts)
-
-    if command == "tail":
-        model = _model_from(opts)
-        cfg = harness.ExperimentConfig(
-            mode=harness.MODE_TAIL, model=model, sizes=list(opts["n"]), replicates=opts["R"],
-            master_seed=seed, workers=workers)
-        return _emit(harness.run_tail_profile(cfg), opts)
-
-    if command == "continuum":
-        cfg = harness.ExperimentConfig(
-            mode=harness.MODE_CONTINUUM, replicates=opts["R"], kappa=opts["kappa"],
-            m_grid=opts["m"], levels=opts["levels"],
-            tolls=[TollFunction.power(opts["alpha"], opts["beta"])], master_seed=seed, workers=workers)
-        report = harness.run_continuum(cfg)  # refuses a bad request before any file is written
+                note = f"no verdict (n={', '.join(map(str, v['empty_sizes']))} kept no tree)"
+            else:
+                note = f"{v['verdict']} (predicted {v['predicted_regime']}, margin {v['margin']:+g})"
+            print(f"# alpha'={aprime:g}: {note}", file=sys.stderr)
+    elif command == "height-moments":
+        report = harness.run_height_moments(_experiment(harness.MODE_HEIGHT, opts, p_list=opts["p"]))
+    elif command == "tail":
+        report = harness.run_tail_profile(_experiment(harness.MODE_TAIL, opts))
+    else:  # continuum; run_continuum refuses a bad request before any file is written
+        report = harness.run_continuum(_experiment(
+            harness.MODE_CONTINUUM, opts, kappa=opts["kappa"], m_grid=opts["m"], levels=opts["levels"],
+            tolls=[TollFunction.power(opts["alpha"], opts["beta"])]))
         if opts["dump_excursion"]:
-            from .continuum import sample_excursion
+            sample_excursion(opts["m"], harness.replicate_rng(opts["seed"], 0)).to_csv(opts["dump_excursion"])
 
-            sample_excursion(opts["m"], harness.replicate_rng(seed, 0)).to_csv(opts["dump_excursion"])
-        return _emit(report, opts)
-
-    raise SystemExit(USAGE_ERROR)
+    if opts["out"]:
+        report.to_csv(opts["out"])
+    else:
+        sys.stdout.write(report.to_csv())
+    if opts["json_out"]:
+        report.to_json(opts["json_out"])
+    for name, ok in report.checks:
+        print(f"# {'PASS' if ok else 'FAIL'} {name}", file=sys.stderr)
+    return report.exit_code()
 
 
 if __name__ == "__main__":

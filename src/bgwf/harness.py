@@ -28,7 +28,7 @@ from .continuum import (  # bench/tracing.py wraps these names in this namespace
     sample_excursion,
     sweep_from_decomposition,
 )
-from .functionals import TollFunction, a_measure, rescaled_theorem1_sum
+from .functionals import POWER, POWER_LOG, TollFunction, a_measure, rescaled_theorem1_sum
 from .offspring import OffspringModel, normalizer, snap_to_support, support_contains
 from .sampler import BudgetExhausted, sample_conditioned
 
@@ -317,8 +317,10 @@ def run_moment(config: ExperimentConfig) -> McReport:
     t0 = time.time()
     model = config.model
     tolls = list(config.tolls)
-    for toll in tolls:
-        exps = toll.exponents
+    # (alpha, beta) of each power toll; a power-log toll |log x| x^alpha reads
+    # (alpha, 0), the power toll of the same finiteness
+    shapes = [(t.alpha, t.beta) if t.kind in (POWER, POWER_LOG) else None for t in tolls]
+    for toll, exps in zip(tolls, shapes):
         if exps is not None:
             verdict = theory.phase_regime(model.gamma, exps[0] + 1.0, exps[1])
             if verdict.regime != theory.GLOBAL:
@@ -338,8 +340,7 @@ def run_moment(config: ExperimentConfig) -> McReport:
     rows = []
     for n in config.sizes:
         vals, _, drops = per_n[n]
-        for i, toll in enumerate(tolls):
-            exps = toll.exponents
+        for i, (toll, exps) in enumerate(zip(tolls, shapes)):
             rows.append(_row(MODE_MOMENT, config, n, exps[0] + 1.0 if exps else None,
                              exps[1] if exps else None, *_mean_stderr(vals[:, i]),
                              _toll_theory(model, toll, height_moments), drops))

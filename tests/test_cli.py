@@ -1,14 +1,19 @@
 import json
 import logging
+import pathlib
+import shlex
 
 import pytest
 
 from bgwf import harness
-from bgwf.cli import main
+from bgwf.cli import build_parser, main
 
 
 def run_cli(argv, capsys):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # a flag the parser refuses
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -134,11 +139,21 @@ def test_invalid_range_usage_error(capsys):
     (["moment", "--n", "11", "--toll", "bogus"], "powerlog:A"),
     (["moment", "--n", "10001", "--alpha-prime", "100"], "n=10001"),
     (["moment", "--n", "10001", "--alpha-prime", "80", "--beta", "-5"], "n=10001"),
+    # config keys the command has no option for, and flags it does not read
+    (["moment", "--n", "11", {"replicates": 7}], "key replicates names no option of moment"),
+    (["moment", "--n", "11", {"kappa": 0.5}], "key kappa names no option of moment"),
+    (["moment", "--n", "11", {"family": "bogus"}], "key family takes one of"),
+    (["llt", "--R", "5"], "unrecognized arguments: --R 5"),
+    (["sample", "--workers", "2"], "unrecognized arguments: --workers 2"),
+    (["continuum", "--n", "5"], "unrecognized arguments: --n 5"),
+    (["moment", "--n", "11", "--alpha", "0.5"], "unrecognized arguments: --alpha 0.5"),
 ], ids=["infinite-moment", "zero-levels", "zero-kappa", "negative-kappa", "pmf-without-table",
         "one-distinct-size", "one-size", "moment-no-sizes", "tail-no-sizes",
         "height-moments-no-sizes", "phase-scan-no-sizes", "pmf-not-pairs", "workers-env-not-integer",
         "config-workers-not-int", "config-pmf-not-str", "config-n-not-int", "config-R-not-int",
-        "toll-not-powerlog", "sum-overflows", "sum-not-finite"])
+        "toll-not-powerlog", "sum-overflows", "sum-not-finite", "config-key-unknown",
+        "config-key-of-another-command", "config-family-unknown", "llt-no-R", "sample-no-workers",
+        "continuum-no-n", "no-abbreviated-flag"])
 def test_bad_request_is_usage_error(argv, names, capsys, tmp_path, monkeypatch):
     workers = ["--workers", "1"]
     if isinstance(argv[-1], dict):
@@ -163,21 +178,32 @@ def test_excursion_dumped_only_for_an_accepted_request(kappa, want, tmp_path, ca
     assert dump.exists() == (want == 0)
 
 
-def test_config_round_trip(tmp_path, capsys):
-    cfg = {"family": "geometric", "n": [51], "R": 8, "alpha_prime": 1.0,
-           "beta": 0.0, "seed": 9, "workers": 1}
+_RUN = {"R": 8, "seed": 9, "workers": 1}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("sample", {"family": "geometric", "n": 51, "seed": 9}),
+    ("moment", {"family": "geometric", "n": [51], "alpha_prime": 1.0, "beta": 0.0, **_RUN}),
+    ("phase-scan", {"family": "stable", "n": [51, 501], "alpha_prime": [0.5, 1.0], **_RUN}),
+    ("llt", {"family": "pmf", "pmf": "0:0.5,2:0.5", "n": [51]}),
+    ("height-moments", {"family": "geometric", "n": [51], "p": [1.0, 2.0], **_RUN}),
+    ("tail", {"family": "catalan", "n": [51], **_RUN}),
+    ("continuum", {"kappa": 0.25, "m": 100, "levels": 16, "alpha": 0.5, "beta": 1.0, **_RUN}),
+], ids=["sample", "moment", "phase-scan", "llt", "height-moments", "tail", "continuum"])
+def test_config_round_trip(command, cfg, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    code, out, _ = run_cli(["moment", "--config", str(path), "--print-config"], capsys)
+    code, out, _ = run_cli([command, "--config", str(path), "--print-config"], capsys)
     assert code == 0
     resolved = json.loads(out)
     for key, val in cfg.items():
         assert resolved[key] == val
-    # echoed config reparses to the identical resolved config
+    # echoed config reparses to the identical resolved config, so it holds
+    # no key the command refuses
     path2 = tmp_path / "cfg2.json"
     path2.write_text(out)
-    code, out2, _ = run_cli(["moment", "--config", str(path2), "--print-config"], capsys)
-    assert json.loads(out2) == resolved
+    code, out2, _ = run_cli([command, "--config", str(path2), "--print-config"], capsys)
+    assert code == 0 and json.loads(out2) == resolved
 
 
 def test_flags_override_config(tmp_path, capsys):
@@ -222,3 +248,23 @@ def test_csv_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     assert out_path.read_text().startswith("mode,family")
     assert json.loads(json_path.read_text())[0]["mode"] == "llt"
+
+
+def test_power_log_row_and_warning(capsys):
+    # |log x| x^-2 is finite exactly where x^-2 u^0 is: outside the global regime
+    code, out, err = run_cli(["moment", "--toll", "powerlog:-2", "--n", "11", "--R", "2",
+                              "--seed", "1"], capsys)
+    assert code == 0
+    assert "# WARNING toll |log x|*x^-2 is outside the global regime (margin -3)" in err
+    header, row = out.strip().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert (cells["alpha_prime"], cells["beta"], cells["theory"]) == ("-1", "0", "")
+
+
+def test_readme_cli_lines_parse():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("bgwf ")]
+    assert len(lines) >= 8
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])

@@ -169,3 +169,17 @@ def test_finiteness_phase_equivalence():
         beta = float(rng.uniform(-4.0, 4.0))
         is_global = phase_regime(gamma, aprime, beta).regime == GLOBAL
         assert (finiteness(gamma, aprime - 1.0, beta) == AS_FINITE) == is_global
+
+
+@pytest.mark.parametrize("gamma", [1.25, 1.5, 2.0])
+def test_finiteness_phase_agree_on_dyadic_grid(gamma):
+    # Dyadic gamma, alpha' and beta make both margins exact in floating point,
+    # so the grid's boundary points (margin 0, such as alpha' = 1/2, beta = 0
+    # at gamma = 2) test that both predicates call the boundary non-global.
+    on_boundary = 0
+    for aprime in np.arange(-16, 25) / 8:
+        for beta in np.arange(-16, 17) / 8:
+            verdict = phase_regime(gamma, aprime, beta)
+            on_boundary += verdict.margin == 0.0
+            assert (finiteness(gamma, aprime - 1.0, beta) == AS_FINITE) == (verdict.regime == GLOBAL)
+    assert on_boundary >= 5
