@@ -6,8 +6,8 @@ Subpackages:
 * ``offspring``   -- critical offspring laws in the stable domain of attraction
 * ``sampler``     -- exact size-conditioned tree sampling; annotation by linear passes
                      around two narrow stable sorts, heights by a sparse table
-* ``functionals`` -- discrete additive functionals and rescaled tree measures
-* ``theory``      -- closed-form limit constants and phase predicates
+* ``functionals`` -- power and power-log tolls, the rescaled tree measure and sums
+* ``theory``      -- closed-form limit constants and the integral test ``phase_margin``
 * ``continuum``   -- Brownian excursion simulation and the continuum functional
 * ``harness``     -- Monte Carlo experiment drivers with reproducible seeding
 * ``cli``         -- command line front end
@@ -35,12 +35,8 @@ from .functionals import (
     TollFunction,
     a_measure,
     rescaled_theorem1_sum,
-    b1_index,
-    tv_gap_bound_check,
-    mass_bound_check,
 )
 from .theory import (
-    PhaseVerdict,
     InfiniteMomentError,
     g0,
     riemann_xi,
@@ -48,12 +44,9 @@ from .theory import (
     brownian_moment,
     stable_moment,
     power_log_moment,
-    phase_regime,
-    finiteness,
+    phase_margin,
     GLOBAL,
     NON_GLOBAL,
-    AS_FINITE,
-    AS_INFINITE,
 )
 from .continuum import (
     Excursion,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import secrets
 import sys
@@ -33,6 +34,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+def finite(text) -> float:
+    """float(text), refusing NaN and the infinities: the type of every float option."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 class _Option(NamedTuple):
     type: type
     default: object
@@ -42,8 +51,8 @@ class _Option(NamedTuple):
 
 _OPTIONS = {
     "family": _Option(str, "catalan", "offspring law", ("catalan", "geometric", "stable", "pmf")),
-    "gamma": _Option(float, 1.5, "stable index of --family stable, in (1, 2]"),
-    "c": _Option(float, 0.5, "pmf(0) of --family stable"),
+    "gamma": _Option(finite, 1.5, "stable index of --family stable, in (1, 2]"),
+    "c": _Option(finite, 0.5, "pmf(0) of --family stable"),
     "pmf": _Option(str, None, "comma list k:p for --family pmf"),
     "n": _Option(int, 1001, "tree size; sizes off the support snap up"),
     "R": _Option(int, 1000, "replicates per size"),
@@ -51,14 +60,14 @@ _OPTIONS = {
     "workers": _Option(int, None, "worker processes (default: BGWF_WORKERS, else 1)"),
     "out": _Option(str, None, "CSV output path (default stdout)"),
     "json_out": _Option(str, None, "JSON report path"),
-    "alpha_prime": _Option(float, 1.0, "subtree-size exponent; the toll is x^(alpha'-1) u^beta"),
-    "beta": _Option(float, 0.0, "height exponent of the toll"),
+    "alpha_prime": _Option(finite, 1.0, "subtree-size exponent; the toll is x^(alpha'-1) u^beta"),
+    "beta": _Option(finite, 0.0, "height exponent of the toll"),
     "toll": _Option(str, None, "powerlog:<alpha> for the log family"),
-    "p": _Option(float, [-1.0, 1.0, 2.0], "orders of the height moments"),
-    "kappa": _Option(float, 0.5, "stable constant of the Brownian tree"),
+    "p": _Option(finite, [-1.0, 1.0, 2.0], "orders of the height moments"),
+    "kappa": _Option(finite, 0.5, "stable constant of the Brownian tree"),
     "m": _Option(int, 10_000, "excursion grid points"),
     "levels": _Option(int, 1024, "sweep levels"),
-    "alpha": _Option(float, 0.0, "mass exponent of the toll x^alpha u^beta"),
+    "alpha": _Option(finite, 0.0, "mass exponent of the toll x^alpha u^beta"),
     "dump_excursion": _Option(str, None, "CSV path for replicate 0's excursion"),
 }
 
@@ -106,8 +115,8 @@ def build_parser() -> _Parser:
 def _check_config(cfg: dict, command: str, reads: dict[str, bool]) -> None:
     """Raise ValueError naming the first config key command has no option for or whose value misfits.
 
-    A float option takes JSON ints too; a list option takes a list of values
-    or one value; null is valid where the default is.
+    A float option takes finite JSON ints and floats; a list option takes a
+    list of values or one value; null is valid where the default is.
     """
     for key, val in cfg.items():
         if key not in reads:
@@ -115,11 +124,17 @@ def _check_config(cfg: dict, command: str, reads: dict[str, bool]) -> None:
         opt = _OPTIONS[key]
         if val is None and opt.default is None:
             continue
-        kinds = (int, float) if opt.type is float else (opt.type,)
+        kinds = (int, float) if opt.type is finite else (opt.type,)
+        name = "finite number" if opt.type is finite else opt.type.__name__
         items = val if reads[key] and isinstance(val, list) else [val]
         if not all(isinstance(v, kinds) and not isinstance(v, bool) for v in items):
-            form = f"{opt.type.__name__} or a list of them" if reads[key] else opt.type.__name__
+            form = f"{name} or a list of them" if reads[key] else name
             raise ValueError(f"config key {key} takes {form}, not {val!r}")
+        try:
+            for v in items:
+                opt.type(v)
+        except ValueError as exc:
+            raise ValueError(f"config key {key}: {exc}") from None
         if opt.choices and val not in opt.choices:
             raise ValueError(f"config key {key} takes one of {', '.join(opt.choices)}, not {val!r}")
 
@@ -173,10 +188,10 @@ def _power_log_alpha(toll: str) -> float:
     kind, _, alpha = toll.partition(":")
     if kind == "powerlog":
         try:
-            return float(alpha)
+            return finite(alpha)
         except ValueError:
             pass
-    raise ValueError(f"--toll takes powerlog:A with A a number, such as powerlog:0.5, not {toll!r}")
+    raise ValueError(f"--toll takes powerlog:A with A a finite number, such as powerlog:0.5, not {toll!r}")
 
 
 def main(argv=None) -> int:

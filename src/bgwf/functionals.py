@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .sampler import AnnotatedTree
 
 POWER = "power"
 POWER_LOG = "power-log"
-CUSTOM = "custom"
 
 
 def _pow(v: np.ndarray, e: float) -> np.ndarray:
@@ -36,52 +34,32 @@ def _pow(v: np.ndarray, e: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TollFunction:
-    """Toll f(mass, scaled height) from a closed family, or a custom callable.
+    """Toll f(mass, scaled height): power f(x, u) = x^alpha u^beta, or
+    power-log f(x, u) = |log x| x^alpha (mass only, beta = 0).
 
-    The power family is f(x, u) = x^alpha u^beta; power-log is
-    f(x, u) = |log x| x^alpha (mass only).  Evaluation is vectorized.
+    A power-log toll is finite exactly where the power toll x^alpha u^0 is.
+    Evaluation is vectorized.
     """
 
     kind: str
-    alpha: float | None = None
-    beta: float | None = None
-    fn: Callable | None = None
-    label: str = ""
+    alpha: float
+    beta: float
+    label: str
 
     @classmethod
     def power(cls, alpha: float, beta: float) -> "TollFunction":
-        return cls(POWER, alpha, beta, None, f"x^{alpha:g}*u^{beta:g}")
+        return cls(POWER, alpha, beta, f"x^{alpha:g}*u^{beta:g}")
 
     @classmethod
     def power_log(cls, alpha: float) -> "TollFunction":
-        return cls(POWER_LOG, alpha, 0.0, None, f"|log x|*x^{alpha:g}")
-
-    @classmethod
-    def custom(cls, fn: Callable, label: str = "custom") -> "TollFunction":
-        return cls(CUSTOM, None, None, fn, label)
-
-    @property
-    def exponents(self) -> tuple[float, float] | None:
-        """(alpha, beta) when the toll is the plain power family, else None."""
-        if self.kind == POWER:
-            return (self.alpha, self.beta)
-        return None
+        return cls(POWER_LOG, alpha, 0.0, f"|log x|*x^{alpha:g}")
 
     def __call__(self, x, u) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
         if self.kind == POWER:
-            return _pow(x, self.alpha) * _pow(u, self.beta)
-        if self.kind == POWER_LOG:
-            with np.errstate(divide="ignore"):
-                return np.abs(np.log(x)) * _pow(x, self.alpha)
-        return np.asarray(self.fn(x, u), dtype=float)
-
-
-class GapBound(NamedTuple):
-    gap: float
-    bound: float
-    ok: bool
+            return _pow(x, self.alpha) * _pow(np.asarray(u, dtype=float), self.beta)
+        with np.errstate(divide="ignore"):
+            return np.abs(np.log(x)) * _pow(x, self.alpha)
 
 
 def a_measure(tree: AnnotatedTree, model: OffspringModel, toll: TollFunction) -> float:
@@ -116,35 +94,3 @@ def rescaled_theorem1_sum(
     if not math.isfinite(value):
         raise ValueError(f"rescaled sum of toll x^{alpha_prime - 1.0:g}*u^{beta:g} not finite at n={n}")
     return value
-
-
-def b1_index(tree: AnnotatedTree) -> float:
-    """Sum of 1/H(t_w) over internal vertices other than the root."""
-    mask = tree.internal.copy()
-    mask[0] = False
-    return float((1.0 / tree.subtree_height[mask]).sum())
-
-
-def tv_gap_bound_check(tree: AnnotatedTree, model: OffspringModel) -> GapBound:
-    """Total-variation gap between the all-vertex and internal-only measures.
-
-    The two measures differ only by leaf atoms of weight a/n each (a = b_n/n),
-    so the gap is exactly (1/2)(a/n)(number of leaves), bounded by a/2.
-    """
-    a = normalizer(model, tree.n) / tree.n
-    gap = 0.5 * (a / tree.n) * tree.leaves
-    bound = 0.5 * a
-    return GapBound(gap, bound, gap <= bound + 1e-15)
-
-
-def mass_bound_check(tree: AnnotatedTree, model: OffspringModel) -> bool:
-    """Check total-mass bounds: A°(1) <= (b_n/n) H and A(1) <= (b_n/n)(H+1).
-
-    A(1) is A°(1) plus the leaf atoms of tv_gap_bound_check, a/n per leaf.
-    """
-    a = normalizer(model, tree.n) / tree.n
-    height = tree.height
-    tol = 1e-12
-    internal = a_measure(tree, model, TollFunction.power(0.0, 0.0))
-    total = internal + (a / tree.n) * tree.leaves
-    return internal <= a * height + tol and total <= a * (height + 1) + tol

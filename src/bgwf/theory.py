@@ -11,7 +11,7 @@ moment of the mass-and-height functional with toll x^alpha u^beta is
 
     g(0) * B(alpha + (beta+1)(1 - 1/gamma), 1 - 1/gamma) * E[H^beta],
 
-finite exactly when the integral test of ``finiteness`` holds, and in the
+finite exactly when the integral test of ``phase_margin`` holds, and in the
 Brownian case E[H^beta] is explicit through the completed (xi) form of the
 zeta function, giving
 
@@ -29,12 +29,9 @@ the power toll x^alpha u^0 is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 GLOBAL = "global"
 NON_GLOBAL = "non-global"
-AS_FINITE = "as-finite"
-AS_INFINITE = "as-infinite"
 
 _LN2 = math.log(2.0)
 _CVZ_TERMS = 36
@@ -42,12 +39,6 @@ _CVZ_TERMS = 36
 
 class InfiniteMomentError(ValueError):
     """The requested moment is infinite (outside the finiteness region)."""
-
-
-@dataclass(frozen=True)
-class PhaseVerdict:
-    regime: str  # GLOBAL or NON_GLOBAL
-    margin: float  # gamma*alpha' + (gamma-1)*beta - 1
 
 
 def g0(gamma: float, kappa: float) -> float:
@@ -103,7 +94,7 @@ def max_excursion_moment(beta: float) -> float:
 
 def _require_finite(gamma: float, alpha: float, beta: float) -> None:
     """Raise InfiniteMomentError when the toll x^alpha u^beta fails the integral test."""
-    if finiteness(gamma, alpha, beta) == AS_INFINITE:
+    if not phase_margin(gamma, alpha + 1.0, beta) > 0.0:  # NaN exponents fail too
         raise InfiniteMomentError(
             f"moment infinite: toll x^{alpha:g} u^{beta:g} fails the integral test at gamma = {gamma:g}"
         )
@@ -152,20 +143,15 @@ def power_log_moment(gamma: float, kappa: float, alpha: float) -> float:
     return g0(gamma, kappa) * _beta_fn(a, b) * (_digamma(a + b) - _digamma(a))
 
 
-def phase_regime(gamma: float, alpha_prime: float, beta: float) -> PhaseVerdict:
-    """Global regime iff gamma*alpha' + (gamma-1)*beta > 1 (strict)."""
-    if not (1.0 < gamma <= 2.0):
-        raise ValueError("gamma outside (1, 2]")
-    margin = gamma * alpha_prime + (gamma - 1.0) * beta - 1.0
-    return PhaseVerdict(GLOBAL if margin > 0.0 else NON_GLOBAL, margin)
+def phase_margin(gamma: float, alpha_prime: float, beta: float) -> float:
+    """gamma*alpha' + (gamma-1)*beta - 1, the paper's integral test.
 
-
-def finiteness(gamma: float, alpha: float, beta: float) -> str:
-    """Almost-sure finiteness of the functional with toll x^alpha u^beta.
-
-    The only statement of the integral test: every first moment here raises
-    InfiniteMomentError through it.
+    Positive exactly when the rescaled sum with exponents (alpha', beta) is in
+    the global regime, which is exactly when the stable-tree functional with
+    toll x^(alpha'-1) u^beta is a.s. finite: gamma(alpha'-1) + (gamma-1)(beta+1)
+    > 0 is the same test.  Zero counts as non-global and infinite.  Every first
+    moment here raises InfiniteMomentError through it.
     """
     if not (1.0 < gamma <= 2.0):
         raise ValueError("gamma outside (1, 2]")
-    return AS_FINITE if gamma * alpha + (gamma - 1.0) * (beta + 1.0) > 0.0 else AS_INFINITE
+    return gamma * alpha_prime + (gamma - 1.0) * beta - 1.0

@@ -1,7 +1,11 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
+from bgwf.functionals import TollFunction, a_measure
 from bgwf.harness import iter_degree_sequences, replicate_rng
+from bgwf.offspring import normalizer
 
 
 @pytest.fixture
@@ -25,6 +29,48 @@ def enumerate_tree_law(model, n):
     return {k: v / total for k, v in weights.items()}
 
 
+# Structural properties of the rescaled tree measure, checked by criterion 6
+# and tests/test_functionals.py.
+
+
+class GapBound(NamedTuple):
+    gap: float
+    bound: float
+    ok: bool
+
+
+def b1_index(tree) -> float:
+    """Sum of 1/H(t_w) over internal vertices other than the root."""
+    mask = tree.internal.copy()
+    mask[0] = False
+    return float((1.0 / tree.subtree_height[mask]).sum())
+
+
+def tv_gap_bound_check(tree, model) -> GapBound:
+    """Total-variation gap between the all-vertex and internal-only measures.
+
+    The two measures differ only by leaf atoms of weight a/n each (a = b_n/n),
+    so the gap is exactly (1/2)(a/n)(number of leaves), bounded by a/2.
+    """
+    a = normalizer(model, tree.n) / tree.n
+    gap = 0.5 * (a / tree.n) * tree.leaves
+    bound = 0.5 * a
+    return GapBound(gap, bound, gap <= bound + 1e-15)
+
+
+def mass_bound_check(tree, model) -> bool:
+    """Check total-mass bounds: A°(1) <= (b_n/n) H and A(1) <= (b_n/n)(H+1).
+
+    A(1) is A°(1) plus the leaf atoms of tv_gap_bound_check, a/n per leaf.
+    """
+    a = normalizer(model, tree.n) / tree.n
+    height = tree.height
+    tol = 1e-12
+    internal = a_measure(tree, model, TollFunction.power(0.0, 0.0))
+    total = internal + (a / tree.n) * tree.leaves
+    return internal <= a * height + tol and total <= a * (height + 1) + tol
+
+
 # Session-scoped Catalan ensemble at the acceptance-scale size.  Several
 # acceptance criteria and the power-log expansion check share it, so the
 # expensive sampling happens once.  Both fixtures run on 2 worker processes;
@@ -37,7 +83,6 @@ ACCEPT_SEED = 20_240_811
 
 @pytest.fixture(scope="session")
 def catalan_acceptance_report():
-    from bgwf.functionals import TollFunction
     from bgwf.harness import ExperimentConfig, MODE_MOMENT, run_moment
     from bgwf.offspring import catalan_model
 
@@ -62,7 +107,6 @@ def catalan_acceptance_report():
 
 @pytest.fixture(scope="session")
 def continuum_acceptance_report():
-    from bgwf.functionals import TollFunction
     from bgwf.harness import ExperimentConfig, MODE_CONTINUUM, run_continuum
 
     tolls = [

@@ -147,13 +147,21 @@ def test_invalid_range_usage_error(capsys):
     (["sample", "--workers", "2"], "unrecognized arguments: --workers 2"),
     (["continuum", "--n", "5"], "unrecognized arguments: --n 5"),
     (["moment", "--n", "11", "--alpha", "0.5"], "unrecognized arguments: --alpha 0.5"),
+    # numbers that are not finite, as flags, in a config file and in --toll
+    (["continuum", "--kappa", "nan", "--m", "100"], "--kappa"),
+    (["continuum", "--kappa", "inf", "--m", "100"], "--kappa"),
+    (["height-moments", "--n", "11", "--p", "nan"], "--p"),
+    (["moment", "--n", "11", "--toll", "powerlog:inf"], "--toll"),
+    (["continuum", "--m", "100", {"kappa": float("nan")}], "key kappa"),
+    (["height-moments", "--n", "11", {"p": [1.0, float("inf")]}], "key p"),
 ], ids=["infinite-moment", "zero-levels", "zero-kappa", "negative-kappa", "pmf-without-table",
         "one-distinct-size", "one-size", "moment-no-sizes", "tail-no-sizes",
         "height-moments-no-sizes", "phase-scan-no-sizes", "pmf-not-pairs", "workers-env-not-integer",
         "config-workers-not-int", "config-pmf-not-str", "config-n-not-int", "config-R-not-int",
         "toll-not-powerlog", "sum-overflows", "sum-not-finite", "config-key-unknown",
         "config-key-of-another-command", "config-family-unknown", "llt-no-R", "sample-no-workers",
-        "continuum-no-n", "no-abbreviated-flag"])
+        "continuum-no-n", "no-abbreviated-flag", "nan-kappa", "inf-kappa", "nan-p", "powerlog-inf",
+        "config-nan-kappa", "config-inf-p"])
 def test_bad_request_is_usage_error(argv, names, capsys, tmp_path, monkeypatch):
     workers = ["--workers", "1"]
     if isinstance(argv[-1], dict):

@@ -31,7 +31,7 @@ from bgwf.harness import (
     run_tail_profile,
 )
 from bgwf.offspring import catalan_model, geometric_model, make_stable_family
-from bgwf.theory import InfiniteMomentError, g0
+from bgwf.theory import InfiniteMomentError, g0, stable_moment
 
 
 def test_llt_catalan_101_binomial_oracle():
@@ -138,15 +138,6 @@ def test_exact_walk_law_fft_matches_direct(make, top):
 def test_llt_otter_dwass_checks_pass():
     rep = run_llt(geometric_model(), [2, 5, 8, 9])
     assert rep.checks and all(ok for _, ok in rep.checks)
-
-
-def test_moment_zero_toll_degenerate():
-    zero = TollFunction.custom(lambda x, u: np.zeros_like(x), "0")
-    cfg = ExperimentConfig(mode=MODE_MOMENT, model=catalan_model(), sizes=[5],
-                           replicates=2, tolls=[zero], master_seed=1)
-    rep = run_moment(cfg)
-    assert rep.rows[0].estimate == 0.0
-    assert rep.rows[0].stderr == 0.0
 
 
 def test_moment_snaps_unsupported_sizes():
@@ -312,6 +303,33 @@ def test_csv_schema_and_json_mirror(tmp_path):
     path = tmp_path / "r.csv"
     rep.to_csv(str(path))
     assert path.read_text() == text
+
+
+def test_rows_name_their_toll():
+    # the acceptance fixture's pair: both read alpha' = 1.5 and beta = 0
+    tolls = [TollFunction.power(0.5, 0), TollFunction.power_log(0.5)]
+    rep = run_moment(ExperimentConfig(mode=MODE_MOMENT, model=catalan_model(), sizes=[11],
+                                      replicates=4, tolls=tolls, master_seed=1))
+    assert [(r.alpha_prime, r.beta) for r in rep.rows] == [(1.5, 0.0)] * 2
+    assert [r.toll for r in rep.rows] == ["x^0.5*u^0", "|log x|*x^0.5"]
+    assert rep.to_csv().splitlines()[2].endswith(",|log x|*x^0.5")
+    assert run_llt(catalan_model(), [5]).rows[0].toll == ""
+
+
+def test_beta_zero_theory_is_closed_form_below_gamma_2(caplog):
+    # E[H^0] = 1, so a beta = 0 theory value needs no height estimate: it is
+    # not logged as simulation-calibrated, and it stands when no tree was kept
+    model = make_stable_family(1.5, 0.5)
+    tolls = [TollFunction.power(0.5, 0), TollFunction.power(0, 1)]
+    with caplog.at_level("INFO", logger="bgwf"):
+        rep = run_moment(ExperimentConfig(mode=MODE_MOMENT, model=model, sizes=[101],
+                                          replicates=8, tolls=tolls, master_seed=5))
+    assert "E[H^0]" not in caplog.text and "x^0*u^1 is simulation-calibrated" in caplog.text
+    closed = stable_moment(1.5, 0.5, 0.5, 0.0, 1.0)
+    assert rep.rows[0].theory == closed
+    empty = run_moment(ExperimentConfig(mode=MODE_MOMENT, model=model, sizes=[1001], replicates=2,
+                                        tolls=tolls[:1], master_seed=3, max_attempts=1))
+    assert empty.rows[0].drops == 2 and empty.rows[0].theory == closed
 
 
 _TOLLS_1_X = [TollFunction.power(0, 0), TollFunction.power(1, 0)]

@@ -7,16 +7,11 @@ import pytest
 from bgwf.theory import (
     _beta_fn,
     _digamma,
-    AS_FINITE,
-    AS_INFINITE,
-    GLOBAL,
-    NON_GLOBAL,
     InfiniteMomentError,
     brownian_moment,
-    finiteness,
     g0,
     max_excursion_moment,
-    phase_regime,
+    phase_margin,
     power_log_moment,
     riemann_xi,
     stable_moment,
@@ -144,20 +139,27 @@ def test_digamma_against_mpmath(x):
     assert _digamma(x) == pytest.approx(float(mp.digamma(x)), rel=1e-14, abs=1e-14)
 
 
-def test_phase_regime_examples():
-    v = phase_regime(2.0, 1.0, 0.0)
-    assert v.regime == GLOBAL and v.margin == pytest.approx(1.0)
-    v = phase_regime(2.0, 0.5, 0.0)
-    assert v.regime == NON_GLOBAL and v.margin == pytest.approx(0.0)
+def test_phase_margin_examples():
+    assert phase_margin(2.0, 1.0, 0.0) == pytest.approx(1.0)
+    assert phase_margin(2.0, 0.5, 0.0) == pytest.approx(0.0)
     for gamma in (1.1, 1.5, 2.0):
-        v = phase_regime(gamma, 0.0, -1.0)
-        assert v.regime == NON_GLOBAL and v.margin == pytest.approx(-gamma)
+        assert phase_margin(gamma, 0.0, -1.0) == pytest.approx(-gamma)
+    with pytest.raises(ValueError, match="gamma outside"):
+        phase_margin(2.5, 1.0, 0.0)
 
 
 def test_finiteness_examples():
-    assert finiteness(2.0, 0.0, 0.0) == AS_FINITE
-    assert finiteness(2.0, -0.5, 0.0) == AS_INFINITE  # boundary counts as infinite
-    assert finiteness(1.5, 0.0, -1.0) == AS_INFINITE
+    # the moment of toll x^alpha u^beta is finite iff phase_margin(gamma, alpha + 1, beta) > 0
+    assert brownian_moment(0.5, 0.0, 0.0) > 0.0
+    with pytest.raises(InfiniteMomentError):
+        brownian_moment(0.5, -0.5, 0.0)  # boundary counts as infinite
+    with pytest.raises(InfiniteMomentError):
+        stable_moment(1.5, 0.5, 0.0, -1.0, 1.0)
+
+
+def _finite_form(gamma, aprime, beta) -> bool:
+    """The integral test as a.s. finiteness of toll x^a u^beta, a = alpha' - 1."""
+    return gamma * (aprime - 1.0) + (gamma - 1.0) * (beta + 1.0) > 0.0
 
 
 def test_finiteness_phase_equivalence():
@@ -167,19 +169,18 @@ def test_finiteness_phase_equivalence():
         gamma = float(rng.uniform(1.01, 2.0))
         aprime = float(rng.uniform(-3.0, 3.0))
         beta = float(rng.uniform(-4.0, 4.0))
-        is_global = phase_regime(gamma, aprime, beta).regime == GLOBAL
-        assert (finiteness(gamma, aprime - 1.0, beta) == AS_FINITE) == is_global
+        assert _finite_form(gamma, aprime, beta) == (phase_margin(gamma, aprime, beta) > 0.0)
 
 
 @pytest.mark.parametrize("gamma", [1.25, 1.5, 2.0])
 def test_finiteness_phase_agree_on_dyadic_grid(gamma):
     # Dyadic gamma, alpha' and beta make both margins exact in floating point,
     # so the grid's boundary points (margin 0, such as alpha' = 1/2, beta = 0
-    # at gamma = 2) test that both predicates call the boundary non-global.
+    # at gamma = 2) test that both forms call the boundary non-global and infinite.
     on_boundary = 0
     for aprime in np.arange(-16, 25) / 8:
         for beta in np.arange(-16, 17) / 8:
-            verdict = phase_regime(gamma, aprime, beta)
-            on_boundary += verdict.margin == 0.0
-            assert (finiteness(gamma, aprime - 1.0, beta) == AS_FINITE) == (verdict.regime == GLOBAL)
+            margin = phase_margin(gamma, aprime, beta)
+            on_boundary += margin == 0.0
+            assert _finite_form(gamma, aprime, beta) == (margin > 0.0)
     assert on_boundary >= 5
