@@ -655,7 +655,7 @@ def run_continuum(config: ExperimentConfig) -> McReport:
     if config.model is not None and config.model.gamma != 2.0:
         raise ValueError("continuum simulation supports gamma = 2 only")
     kappa = config.model.kappa if config.model is not None else config.kappa
-    theory.g0(2.0, kappa)  # refuses kappa <= 0
+    theory.g0(2.0, kappa)  # refuses kappa that is not finite and positive
     tolls = list(config.tolls)
     # bad requests raise here, before any excursion is drawn
     limits = [theory.brownian_moment(kappa, toll.alpha, toll.beta) if toll.kind == POWER else None

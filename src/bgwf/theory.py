@@ -43,8 +43,8 @@ class InfiniteMomentError(ValueError):
 
 def g0(gamma: float, kappa: float) -> float:
     """Stable density at zero, 1/(kappa^(1/gamma) |Gamma(-1/gamma)|)."""
-    if not (1.0 < gamma <= 2.0) or kappa <= 0.0:
-        raise ValueError("need gamma in (1,2] and kappa > 0")
+    if not (1.0 < gamma <= 2.0 and 0.0 < kappa < math.inf):  # NaN fails both
+        raise ValueError("need gamma in (1,2] and finite kappa > 0")
     return 1.0 / (kappa ** (1.0 / gamma) * abs(math.gamma(-1.0 / gamma)))
 
 

@@ -41,7 +41,7 @@ class GapBound(NamedTuple):
 
 def b1_index(tree) -> float:
     """Sum of 1/H(t_w) over internal vertices other than the root."""
-    mask = tree.internal.copy()
+    mask = tree.degree > 0
     mask[0] = False
     return float((1.0 / tree.subtree_height[mask]).sum())
 

@@ -44,7 +44,7 @@ def test_rescaled_sum_trivial_bound(rng):
         tree = sample_conditioned(geo, 51, rng)
         v = rescaled_theorem1_sum(tree, geo, 0.0, 0.0)
         b = normalizer(geo, 51)
-        assert v == pytest.approx((b / 51) * int(tree.internal.sum()), rel=1e-12)
+        assert v == pytest.approx((b / 51) * int((tree.degree > 0).sum()), rel=1e-12)
         assert v <= b + 1e-12
 
 
@@ -123,7 +123,7 @@ def test_power_log_decomposition(rng):
         b = normalizer(geo, n)
         lhs = a_measure(tree, geo, TollFunction.power_log(alpha))
         power = a_measure(tree, geo, TollFunction.power(alpha, 0.0))
-        sizes = tree.subtree_size[tree.internal].astype(float)
+        sizes = tree.subtree_size[tree.degree > 0].astype(float)
         raw = (b / n ** (2 + alpha)) * math.fsum(sizes ** (1 + alpha) * np.log(sizes))
         assert lhs == pytest.approx(math.log(n) * power - raw, rel=1e-9, abs=1e-12)
 

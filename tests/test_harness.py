@@ -292,6 +292,17 @@ def test_continuum_basic_and_errors():
         run_continuum(cfg2)
 
 
+@pytest.mark.parametrize("kappa", [math.nan, math.inf])
+def test_continuum_refuses_kappa_not_finite_before_drawing(kappa, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(harness, "sample_excursion", lambda *args: drawn.append(args))
+    cfg = ExperimentConfig(mode=MODE_CONTINUUM, replicates=2, kappa=kappa, m_grid=100, levels=16,
+                           tolls=[TollFunction.power(0, 0)], master_seed=1)
+    with pytest.raises(ValueError, match="kappa > 0"):
+        run_continuum(cfg)
+    assert drawn == []
+
+
 def test_csv_schema_and_json_mirror(tmp_path):
     cfg = ExperimentConfig(mode=MODE_MOMENT, model=catalan_model(), sizes=[11],
                            replicates=5, tolls=[TollFunction.power(0, 0)], master_seed=31)

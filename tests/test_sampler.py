@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -234,6 +237,119 @@ def test_range_max_matches_brute_force(data):
     np.testing.assert_array_equal(range_max(values, starts, stops), want)
     floats = values + 0.5
     np.testing.assert_array_equal(range_max(floats, starts, stops), np.array(want) + 0.5)
+
+
+def _windows(rng, m, q):
+    """q random windows (s, t) with 0 <= s < t <= m."""
+    a, b = rng.integers(0, m, q), rng.integers(0, m, q)
+    return np.minimum(a, b), np.maximum(a, b) + 1
+
+
+def _brute_range_max(values, starts, stops):
+    return np.array([values[s:t].max() for s, t in zip(starts, stops)], dtype=values.dtype)
+
+
+def _in_new_thread(fn):
+    """fn() run in a thread of its own, whose range_max buffer starts empty."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert out, "the thread raised"
+    return out[0]
+
+
+def test_range_max_reuses_its_table():
+    # a repeated call builds its table in the bytes the first call left, so
+    # it allocates only its query temporaries, less than the table itself
+    m = 10**4
+    rng = np.random.default_rng(3)
+    values = rng.integers(0, 2**16, m).astype(np.uint16)
+    starts, stops = _windows(rng, m, m)
+    want = range_max(values, starts, stops)
+    tracemalloc.start()
+    try:
+        got = range_max(values, starts, stops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(got, want)
+    assert peak < m.bit_length() * m * values.itemsize
+
+
+def test_range_max_tables_are_per_thread():
+    # two threads interleave calls of different sizes and dtypes; a table
+    # shared between them would give one thread the other's maxima
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            m = int(rng.integers(1, 600))
+            dtype = (np.uint8, np.uint16, np.int64, np.float64)[rng.integers(4)]
+            values = rng.standard_normal(m) if dtype is np.float64 else rng.integers(0, 250, m).astype(dtype)
+            starts, stops = _windows(rng, m, int(rng.integers(1, 50)))
+            if not np.array_equal(range_max(values, starts, stops), _brute_range_max(values, starts, stops)):
+                failures.append((seed, m, dtype))
+        finished.append(seed)
+
+    failures, finished = [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in (1, 2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(finished) == [1, 2]
+    assert failures == []
+
+
+def test_range_max_after_its_table_grows():
+    # small, then a larger float64 table that outgrows the buffer, then small
+    # again in the grown buffer
+    def calls():
+        rng = np.random.default_rng(4)
+        out = []
+        for m, dtype in ((40, np.uint8), (3000, np.float64), (40, np.uint8)):
+            values = rng.integers(0, 250, m).astype(dtype)
+            starts, stops = _windows(rng, m, 300)
+            out.append((range_max(values, starts, stops), _brute_range_max(values, starts, stops)))
+        return out
+
+    for got, want in _in_new_thread(calls):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+def test_range_max_result_is_not_the_table():
+    values = np.arange(64, dtype=np.uint16)[::-1].copy()
+    starts = np.arange(63)
+    stops = starts + 2
+    first = range_max(values, starts, stops)
+    want = first.copy()
+    assert not np.shares_memory(first, sampler._table_buffer.buf)
+    first[:] = 0
+    np.testing.assert_array_equal(range_max(values, starts, stops), want)
+
+
+@pytest.mark.parametrize("shape", ["vertex", "path", "star", "catalan"])
+def test_internal_stats_equal_mask_selection(shape):
+    k = 2 * TREE_NUMPY_MIN
+    if shape == "catalan":
+        tree = sample_conditioned(catalan_model(), 10_001, rng_for(13))
+    else:
+        degrees = {"vertex": [0], "path": [1] * k + [0], "star": [k] + [0] * k}[shape]
+        tree = build_and_annotate(np.array(degrees))
+    internal = tree.degree > 0
+    for got, row in zip(tree.internal_stats, (tree.subtree_size, tree.subtree_height)):
+        want = row[internal].astype(float)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        assert not got.flags.writeable
 
 
 def test_structural_invariants_on_samples(rng):

@@ -37,6 +37,12 @@ def test_g0_values():
         assert g0(2.0, kappa) == pytest.approx(1 / (2 * math.sqrt(kappa * math.pi)), rel=1e-12)
 
 
+@pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan, math.inf])
+def test_g0_refuses_kappa_not_finite_and_positive(kappa):
+    with pytest.raises(ValueError, match="kappa > 0"):
+        g0(2.0, kappa)
+
+
 def test_xi_special_values():
     assert riemann_xi(2.0) == pytest.approx(math.pi / 6, abs=1e-12)
     assert riemann_xi(1.0) == pytest.approx(0.5, abs=1e-13)
