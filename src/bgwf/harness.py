@@ -4,6 +4,12 @@ Replicate j of an experiment draws from a stream keyed by
 (master_seed, j) only, so reports are bit-identical for any worker count.
 Reductions iterate replicates in index order.
 
+With workers > 1, replicates run on a process pool that starts on the first
+multi-worker call and is reused until the process exits or a call asks for
+another worker count, which replaces it.  The workers are forked when the pool
+starts, so they do not see module attributes changed after that (a
+monkeypatch, for one).
+
 CSV schema (one row per experiment/size/toll):
 mode,family,gamma,kappa,n,R,alpha_prime,beta,estimate,stderr,theory,zscore,drops,seed,toll
 Exit codes: 0 all checks pass, 2 some verdict failed, 3 invalid report.
@@ -101,6 +107,8 @@ class ExperimentConfig:
     max_attempts: int | None = None
 
     def __post_init__(self):
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, not {self.workers}")
         if self.replicates < 2:
             raise ValueError("need at least 2 replicates")
         if not self.sizes and self.mode in (MODE_MOMENT, MODE_PHASE, MODE_HEIGHT, MODE_TAIL):
@@ -189,14 +197,44 @@ def replicate_rng(master_seed: int, replicate: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(replicate,)))
 
 
+# (workers, ProcessPoolExecutor) of the last multi-worker call, kept for the
+# next one.  On a 2-vCPU Xeon a 50-task map on 2 workers takes 15-16 ms with a
+# pool started and joined for it, and 2.5-2.9 ms on a kept pool.
+_pool = None
+
+
+def _drop_pool() -> None:
+    """Shut the kept pool down, if there is one; the next multi-worker call starts another."""
+    global _pool
+    if _pool is not None:
+        import atexit
+
+        pool, _pool = _pool[1], None
+        atexit.unregister(pool.shutdown)
+        pool.shutdown()
+
+
 def _map_ordered(fn, count: int, workers: int) -> list:
+    global _pool
     if workers <= 1:
         return [fn(j) for j in range(count)]
-    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; serial runs skip it
+    # imported here: both load multiprocessing, which import bgwf and serial runs skip
+    import atexit
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
+    if _pool is None or _pool[0] != workers:
+        _drop_pool()  # before the fork, so no thread of the old pool is alive in the new workers
+        _pool = workers, ProcessPoolExecutor(max_workers=workers)
+        # without it, the pool is collected at interpreter teardown and its
+        # weakref callback prints an AttributeError on stderr
+        atexit.register(_pool[1].shutdown)
     chunk = max(1, count // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, range(count), chunksize=chunk))
+    try:
+        return list(_pool[1].map(fn, range(count), chunksize=chunk))
+    except BrokenProcessPool:  # a worker died; a task's own exception leaves the pool usable
+        _drop_pool()
+        raise
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float | None]:

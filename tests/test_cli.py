@@ -131,6 +131,9 @@ def test_invalid_range_usage_error(capsys):
     (["moment", "--family", "pmf", "--pmf", "1"], "k:p,..."),
     # an environment variable, which the test's --workers flag would override
     (["moment", "--n", "11", ("BGWF_WORKERS", "abc")], "BGWF_WORKERS"),
+    (["moment", "--n", "11", ("BGWF_WORKERS", "0")], "workers"),
+    (["moment", "--n", "11", "--workers", "0"], "workers"),
+    (["moment", "--n", "11", "--workers", "-1"], "workers"),
     # config values of the wrong type, checked even where a flag overrides them
     (["moment", "--n", "11", {"workers": "abc"}], "workers"),
     (["moment", "--n", "11", {"family": "pmf", "pmf": 5}], "pmf"),
@@ -157,13 +160,14 @@ def test_invalid_range_usage_error(capsys):
 ], ids=["infinite-moment", "zero-levels", "zero-kappa", "negative-kappa", "pmf-without-table",
         "one-distinct-size", "one-size", "moment-no-sizes", "tail-no-sizes",
         "height-moments-no-sizes", "phase-scan-no-sizes", "pmf-not-pairs", "workers-env-not-integer",
+        "workers-env-zero", "zero-workers", "negative-workers",
         "config-workers-not-int", "config-pmf-not-str", "config-n-not-int", "config-R-not-int",
         "toll-not-powerlog", "sum-overflows", "sum-not-finite", "config-key-unknown",
         "config-key-of-another-command", "config-family-unknown", "llt-no-R", "sample-no-workers",
         "continuum-no-n", "no-abbreviated-flag", "nan-kappa", "inf-kappa", "nan-p", "powerlog-inf",
         "config-nan-kappa", "config-inf-p"])
 def test_bad_request_is_usage_error(argv, names, capsys, tmp_path, monkeypatch):
-    workers = ["--workers", "1"]
+    workers = [] if "--workers" in argv else ["--workers", "1"]
     if isinstance(argv[-1], dict):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(argv[-1]))

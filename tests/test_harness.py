@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -364,6 +367,53 @@ def test_determinism_across_worker_counts(run, kwargs):
     assert reports[0].extras == reports[1].extras
 
 
+def _rows_hex(report) -> list[tuple]:
+    return [tuple(v.hex() if isinstance(v, float) else v for v in r.as_dict().values()) for r in report.rows]
+
+
+def test_rows_bit_identical_while_the_pool_is_replaced():
+    # 1, 2, 3 and then 2 workers: the kept pool is replaced twice
+    runs = [(run_moment, dict(mode=MODE_MOMENT, model=catalan_model(), sizes=[201], replicates=40,
+                              tolls=_TOLLS_1_X + [TollFunction.power_log(0.5)])),
+            (run_continuum, dict(mode=MODE_CONTINUUM, m_grid=2000, replicates=20, tolls=_TOLLS_1_X))]
+    for run, kwargs in runs:
+        rows = [_rows_hex(run(ExperimentConfig(master_seed=5, workers=w, **kwargs))) for w in (1, 2, 3, 2)]
+        assert rows[1:] == rows[:1] * 3
+
+
+def _pid(j: int) -> int:
+    time.sleep(0.05)  # long enough that every worker takes a task
+    return os.getpid()
+
+
+def _square(j: int) -> int:
+    return j * j
+
+
+def _die(j: int) -> int:
+    os._exit(1)
+
+
+def test_consecutive_calls_reuse_the_workers():
+    first = set(harness._map_ordered(_pid, 8, 2))
+    assert len(first) == 2 and os.getpid() not in first
+    assert set(harness._map_ordered(_pid, 8, 2)) == first
+
+
+def test_a_dead_worker_drops_the_pool():
+    with pytest.raises(BrokenProcessPool):
+        harness._map_ordered(_die, 4, 2)
+    assert harness._map_ordered(_square, 20, 2) == [j * j for j in range(20)]
+
+
+def test_a_failing_task_leaves_the_pool_usable():
+    kwargs = dict(mode=MODE_MOMENT, model=catalan_model(), sizes=[11], replicates=8, master_seed=1)
+    with pytest.raises(ValueError, match="not finite"):
+        run_moment(ExperimentConfig(workers=2, tolls=[TollFunction.power(0, -2000)], **kwargs))
+    rows = [_rows_hex(run_moment(ExperimentConfig(workers=w, tolls=_TOLLS_1_X, **kwargs))) for w in (2, 1)]
+    assert rows[0] == rows[1]
+
+
 def test_drop_accounting_marks_invalid():
     cfg = ExperimentConfig(mode=MODE_MOMENT, model=geometric_model(), sizes=[501],
                            replicates=20, tolls=[TollFunction.power(0, 0)],
@@ -434,3 +484,10 @@ def test_selftest_passes():
 def test_replicate_count_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(mode=MODE_MOMENT, model=catalan_model(), sizes=[5], replicates=1)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_worker_count_below_one_is_refused(workers):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        ExperimentConfig(mode=MODE_CONTINUUM, replicates=2, m_grid=100, levels=16,
+                         tolls=[TollFunction.power(0, 0)], workers=workers)
