@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import range_max
+from .sampler import range_max, workspace
 
 DEFAULT_LEVELS = 1024
 
@@ -59,97 +59,127 @@ def sample_excursion(m: int, rng: np.random.Generator) -> Excursion:
     The Vervaat rotation of the bridge at the argmin yields a nonnegative
     path with zero endpoints; draws with a non-unique minimum or nonpositive
     interior values (probability zero events up to float ties) are resampled.
+    The walk and the bridge are built in the ``workspace``, so the values are
+    the only array the call keeps.
     """
     if m < 2:
         raise ValueError("need m >= 2 grid steps")
+    walk = workspace("sample_excursion.walk", np.float64, m)
+    cyc = workspace("sample_excursion.bridge", np.float64, m)
+    values = np.empty(m + 1)
     while True:
-        steps = rng.standard_normal(m) * math.sqrt(1.0 / m)
-        walk = np.cumsum(steps)
-        bridge = walk - np.arange(1, m + 1) / m * walk[-1]
-        cyc = np.empty(m)
+        rng.standard_normal(out=walk)
+        walk *= math.sqrt(1.0 / m)
+        np.cumsum(walk, out=walk)
+        # cyc[k] = bridge[k - 1] = walk[k - 1] - k / m * walk[-1], and cyc[0] = 0
         cyc[0] = 0.0
-        cyc[1:] = bridge[:-1]
+        np.divide(np.arange(1, m), m, out=cyc[1:])
+        cyc[1:] *= walk[-1]
+        np.subtract(walk[:-1], cyc[1:], out=cyc[1:])
         i_min = int(np.argmin(cyc))
-        values = np.empty(m + 1)
         values[: m - i_min] = cyc[i_min:]
         values[m - i_min : m] = cyc[:i_min]
         values[:m] -= cyc[i_min]
         values[m] = 0.0
-        if (values[1:m] > 0.0).all():
+        if values[1:m].min() > 0.0:
             break
     values.setflags(write=False)
     return Excursion(values=values)
 
 
 def _level_counts(v: np.ndarray, dr: float, levels: int) -> np.ndarray:
-    """Exact count of the levels (k + 1/2) dr, k < levels, strictly below each v."""
-    grid = np.empty(levels + 2)  # level heights padded by -inf and +inf
-    grid[0], grid[-1] = -np.inf, np.inf
-    np.multiply(np.arange(levels) + 0.5, dr, out=grid[1:-1])
-    est = v / dr
+    """Exact count of the levels (k + 1/2) dr, k < levels, strictly below each v.
+
+    A ceil estimate, corrected by one comparison each way with the level
+    heights (c + 1/2) dr and (c - 1/2) dr.  At c = levels the first never
+    compares true, as v <= max < (levels + 1/2) dr; at c = 0 the second
+    does only for v <= -dr/2, and the count is put back to 0 there.
+    """
+    est = workspace("level_counts.est", np.float64, len(v))
+    np.divide(v, dr, out=est)
     est -= 0.5
     np.ceil(est, out=est)
     np.clip(est, 0, levels, out=est)
-    c = est.astype(np.intp)
-    c += grid[1:][c] < v  # level c is below v after all
-    c -= grid[c] >= v  # level c - 1 is not below v
+    c = workspace("level_counts", np.intp, len(v))
+    np.copyto(c, est, casting="unsafe")
+    np.copyto(est, c)  # est now holds level heights
+    est += 0.5
+    est *= dr
+    np.add(c, 1, out=c, where=est < v)  # level c is below v after all
+    np.copyto(est, c)
+    est -= 0.5
+    est *= dr
+    np.subtract(c, 1, out=c, where=est >= v)  # level c - 1 is not below v
+    np.maximum(c, 0, out=c)
     return c
 
 
-def _crossings(c: np.ndarray, m: int, dr: float, dtype) -> tuple:
-    """(level height, up edge, down edge) of each component, by (level, time).
+def _crossings(c: np.ndarray, m: int, dtype) -> tuple:
+    """(level, up edge, down edge) of each component, by (level, time).
 
     Edge e crosses the levels min(c[e], c[e+1]) .. max - 1, so its keys
     level * m + e start at min * m + e and step by m: the keys in edge order
     are a cumulative sum of those steps and of the jumps between edges.
+    The levels have the key dtype and the edges are intp.
     """
-    counts = np.diff(c)
+    counts = workspace("crossings.counts", np.intp, m)
+    np.subtract(c[1:], c[:-1], out=counts)
     np.abs(counts, out=counts)
     edges = np.flatnonzero(counts)
-    n_e = counts[edges]
-    first = np.minimum(c[edges], c[edges + 1]) * m + edges
-    jump = first.copy()
-    jump[1:] -= first[:-1] + (n_e[:-1] - 1) * m  # from the previous edge's last key
-    keys = np.full(int(n_e.sum()), m, dtype=dtype)
-    keys[np.cumsum(n_e) - n_e] = jump
-    np.cumsum(keys, out=keys)
+    # take's indices are in range by construction; mode "clip" only spares
+    # the buffered copy of out that mode "raise" makes
+    n_e = workspace("crossings.n_e", np.intp, len(edges))
+    np.take(counts, edges, out=n_e, mode="clip")
+    first = workspace("crossings.first", np.intp, len(edges))
+    np.take(c, edges, out=first, mode="clip")
+    jump = workspace("crossings.jump", np.intp, len(edges))
+    np.take(c[1:], edges, out=jump, mode="clip")  # c[e + 1] until the jumps replace it
+    np.minimum(first, jump, out=first)
+    first *= m
+    first += edges
+    # from the previous edge's last key
+    jump[0] = first[0]
+    np.subtract(n_e[:-1], 1, out=jump[1:])
+    jump[1:] *= m
+    jump[1:] += first[:-1]
+    np.subtract(first[1:], jump[1:], out=jump[1:])
+    keys = workspace("crossings.keys", dtype, int(n_e.sum()))
+    keys.fill(m)
+    np.cumsum(n_e, out=first)
+    first -= n_e
+    keys[first] = jump
+    np.cumsum(keys, dtype=dtype, out=keys)
     keys.sort()
     if len(keys) % 2:
         raise ValueError("level crossings do not pair: the path is not an excursion")
-    level, e_up = np.divmod(keys[0::2], m)
-    level_dn, e_dn = np.divmod(keys[1::2], m)
+    level, level_dn = workspace("crossings.levels", dtype, 2, len(keys) // 2)
+    e_up, e_dn = workspace("crossings.edges", np.intp, 2, len(keys) // 2)
+    np.divmod(keys[0::2], m, out=(level, e_up))
+    np.divmod(keys[1::2], m, out=(level_dn, e_dn))
     if (level != level_dn).any():
         raise ValueError("level crossings do not alternate up/down: the path is not an excursion")
-    r_vals = level + 0.5
-    r_vals *= dr
-    return r_vals, e_up, e_dn
+    return level, e_up, e_dn
 
 
-def _durations(v: np.ndarray, r_vals: np.ndarray, e_up: np.ndarray, e_dn: np.ndarray) -> np.ndarray:
-    """Grid time from the up to the down crossing, each linearly interpolated."""
-    slope = np.diff(v)
-    s_up, s_dn = slope[e_up], slope[e_dn]
+def _durations(v: np.ndarray, r_vals: np.ndarray, e_up: np.ndarray, e_dn: np.ndarray,
+               dur: np.ndarray) -> None:
+    """Grid time from the up to the down crossing, each linearly interpolated, into dur."""
+    slope = workspace("durations.slope", np.float64, len(v) - 1)
+    np.subtract(v[1:], v[:-1], out=slope)
+    s_up, s_dn, t_up = workspace("durations", np.float64, 3, len(r_vals))
+    np.take(slope, e_up, out=s_up, mode="clip")
+    np.take(slope, e_dn, out=s_dn, mode="clip")
     if (s_up <= 0.0).any() or (s_dn >= 0.0).any():
         raise ValueError("level crossings do not alternate up/down: the path is not an excursion")
-    t_up = v[e_up]
+    np.take(v, e_up, out=t_up, mode="clip")
     np.subtract(r_vals, t_up, out=t_up)
     t_up /= s_up
     t_up += e_up
-    dur = v[e_dn]
+    np.take(v, e_dn, out=dur, mode="clip")
     np.subtract(r_vals, dur, out=dur)
     dur /= s_dn
     dur += e_dn
     dur -= t_up
-    return dur
-
-
-def _peaks(v: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """max(v[s + 1 : t + 1]) for each pair (s, t), from a range maximum of
-    the ranks of v: a table of ``np.min_scalar_type(len(v) - 1)``."""
-    order = np.argsort(v)
-    rank = np.empty(len(v), dtype=np.min_scalar_type(len(v) - 1))
-    rank[order] = np.arange(len(v))
-    return v[order][range_max(rank[1:], starts, stops)]
 
 
 def level_decomposition(exc: Excursion, levels: int = DEFAULT_LEVELS):
@@ -163,12 +193,12 @@ def level_decomposition(exc: Excursion, levels: int = DEFAULT_LEVELS):
     min(c[e], c[e+1]) .. max - 1.  The keys level * m + edge, sorted once,
     order the crossings by (level, time); they alternate up/down and pair
     into components.  The keys are int32 while levels * m < 2^31 and int64
-    otherwise.  Component peaks are range maxima of the ranks of v, a table
-    of ``np.min_scalar_type(m)`` (``range_max``).  Work is O(m log m + C)
-    with C the total crossing count (at most m per level).
-    Returns (durations, heights, level_values, dr); raises ValueError if the
-    crossings do not pair, i.e. the path does not start and end below the
-    lowest level.
+    otherwise.  Component peaks are range maxima of v (``range_max``).  Work
+    is O(m log m + C) with C the total crossing count (at most m per level),
+    and the temporaries live in the ``workspace``.
+    Returns (durations, heights, level_values, dr), the first three the rows
+    of one fresh (3, C) array; raises ValueError if the crossings do not
+    pair, i.e. the path does not start and end below the lowest level.
     """
     if levels < 1:
         raise ValueError("need levels >= 1")
@@ -177,17 +207,18 @@ def level_decomposition(exc: Excursion, levels: int = DEFAULT_LEVELS):
     vmax = float(v.max())
     dr = vmax / levels
     if not vmax > 0.0:
-        return np.zeros(0), np.zeros(0), np.zeros(0), dr
+        return *np.zeros((3, 0)), dr
     key_dtype = np.int32 if levels * m < 2**31 else np.int64
-    # each step is a function, so its temporaries are freed before the next
-    # one allocates: at m = 10^4 that halves the page faults of a call
-    r_vals, e_up, e_dn = _crossings(_level_counts(v, dr, levels), m, dr, key_dtype)
-    dur = _durations(v, r_vals, e_up, e_dn)
+    level, e_up, e_dn = _crossings(_level_counts(v, dr, levels), m, key_dtype)
+    dur, height, r_vals = np.empty((3, len(level)))
+    np.copyto(r_vals, level)
+    r_vals += 0.5
+    r_vals *= dr
+    _durations(v, r_vals, e_up, e_dn, dur)
     dur *= exc.dt
     # the grid points above the level run from the up edge's right end to the
     # down edge's left end
-    height = _peaks(v, e_up, e_dn)
-    height -= r_vals
+    np.subtract(range_max(v[1:], e_up, e_dn), r_vals, out=height)
     return dur, height, r_vals, dr
 
 

@@ -285,18 +285,28 @@ def _rotation(deg: list) -> int:
 TREE_NUMPY_MIN = 120
 
 
-# The bytes under range_max's sparse table: one buffer per thread, grown to
-# the largest table the thread has built and reused after that.
-_table_buffer = threading.local()
+# The scratch memory of the array code: one byte buffer per name and thread,
+# grown to the largest request under that name and reused after that.  A
+# stream of equal-size calls then allocates no temporaries, which glibc would
+# trim off the heap after each call and fault back in on the next one.
+_workspace = threading.local()
 
 
-def _table(dtype: np.dtype, rows: int, m: int) -> np.ndarray:
-    """A (rows, m) array of dtype over this thread's reused byte buffer."""
-    nbytes = rows * m * dtype.itemsize
-    buf = getattr(_table_buffer, "buf", None)
+def workspace(name: str, dtype, *shape: int) -> np.ndarray:
+    """An uninitialised array of ``shape`` and ``dtype`` over this thread's buffer ``name``.
+
+    Views of one name share their bytes, so a view is valid only until the
+    next request for its name; views of different names never overlap.  So
+    each function takes names no caller of it holds, and returns no view to
+    its caller.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    buf = getattr(_workspace, name, None)
     if buf is None or buf.size < nbytes:
-        buf = _table_buffer.buf = np.empty(nbytes, dtype=np.uint8)
-    return buf[:nbytes].view(dtype).reshape(rows, m)
+        buf = np.empty(nbytes, dtype=np.uint8)
+        setattr(_workspace, name, buf)
+    return buf[:nbytes].view(dtype).reshape(shape)
 
 
 def range_max(values: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -305,15 +315,14 @@ def range_max(values: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.n
     Row k of the table holds the maxima of all windows of length 2^k, so a
     query is the larger of two overlapping windows, each read with one
     gather: O(m log m) to build, O(1) per query.  The table has the dtype of
-    ``values``, so a narrow dtype keeps it small.  It lives in a buffer kept
-    per thread at the size of the largest table seen, so repeated calls
-    allocate no table, which the heap would trim and fault back in each
-    time: 280 KB for the uint16 depths of a tree at n = 10^4, about 40 MB
-    after a Catalan n = 10^6 tree.  The result is a fresh array, never a
-    view of that buffer.
+    ``values``, so a narrow dtype keeps it small.  The table and the query
+    temporaries live in the ``workspace``: 280 KB of table for the uint16
+    depths of a tree at n = 10^4, 1.1 MB for the float64 values of an
+    excursion at m = 10^4, about 40 MB after a Catalan n = 10^6 tree.  The
+    result is a fresh array.
     """
-    m = len(values)
-    table = _table(values.dtype, m.bit_length(), m)
+    m, q = len(values), len(starts)
+    table = workspace("range_max.table", values.dtype, m.bit_length(), m)
     table[0] = values
     for k in range(1, len(table)):
         half = 1 << (k - 1)
@@ -321,9 +330,13 @@ def range_max(values: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.n
         table[k, -half:] = table[k - 1, -half:]
     # floor(log2(t - s)) is the float exponent of t - s, less one; float32
     # holds every length below 2^24 exactly
-    k = np.frexp(np.subtract(stops, starts, dtype=np.float32 if m < 1 << 24 else np.float64))[1]
+    length = workspace("range_max.length", np.float32 if m < 1 << 24 else np.float64, q)
+    np.subtract(stops, starts, out=length)
+    k = workspace("range_max.k", np.int32, q)
+    np.frexp(length, out=(length, k))
     k -= 1
-    pos = k.astype(np.intp)
+    pos = workspace("range_max.pos", np.intp, q)
+    np.copyto(pos, k)
     pos *= m  # offset of row k in the flat table
     pos += starts
     flat = table.ravel()
@@ -475,9 +488,8 @@ def build_and_annotate(degrees: np.ndarray) -> AnnotatedTree:
     _annotate_lukasiewicz finds subtree sizes, depths and parents in O(n)
     passes around two stable sorts of narrow keys, and subtree heights from
     a sparse table in O(n log n); raises ValueError on an invalid sequence.
-    The table lives in range_max's per-thread buffer, kept at the size of
-    the largest table seen (280 KB at n = 10^4, about 40 MB after a Catalan
-    n = 10^6 tree), so a stream of equal-size trees allocates no table.
+    The table lives in the per-thread ``workspace`` (280 KB at n = 10^4),
+    so a stream of equal-size trees allocates no table.
     """
     degree = np.ascontiguousarray(degrees, dtype=np.int64)
     # one read-only block; its rows are read-only views

@@ -3,6 +3,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from bgwf import sampler
 from bgwf.functionals import TollFunction, a_measure
 from bgwf.harness import iter_degree_sequences, replicate_rng
 from bgwf.offspring import normalizer
@@ -129,3 +130,11 @@ def continuum_acceptance_report():
 
 def rng_for(seed, j=0):
     return replicate_rng(seed, j)
+
+
+def assert_not_in_workspace(*arrays):
+    """No array shares memory with a buffer of this thread's sampler.workspace."""
+    buffers = vars(sampler._workspace).values()
+    assert buffers
+    for a in arrays:
+        assert not any(np.shares_memory(a, buf) for buf in buffers)

@@ -1,10 +1,12 @@
 import math
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from conftest import rng_for
+from conftest import assert_not_in_workspace, rng_for
 
 from bgwf.continuum import (
     Excursion,
@@ -132,6 +134,11 @@ def test_decomposition_equals_lexsort_reference():
         for g, w in zip(got[:3], want[:3]):
             np.testing.assert_array_equal(g, w)
         assert got[3] == want[3]
+    # a path that dips below the lowest level, to -1.2 dr, between components
+    dip = Excursion(values=np.array([0.0, 0.5, 1.0, -0.3, 0.6, 0.0]))
+    got, want = level_decomposition(dip, 4), lexsort_decomposition(dip, 4)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
 
 
 def tie_excursion(rng, scale, nudge):
@@ -176,7 +183,7 @@ def test_decomposition_exact_at_level_ties(scale, nudge):
 
 def test_decomposition_wide_keys():
     # levels * m = 2^32 takes int64 keys: the upper half of the levels' keys
-    # overflow int32; a small grid keeps the rank table small
+    # overflow int32; a small grid keeps the range-max table small
     m, levels = 2**12, 2**20
     tri = triangular(m)
     dur, height, r_vals, dr = level_decomposition(tri, levels)
@@ -276,3 +283,45 @@ def test_excursion_csv_dump(tmp_path):
     assert len(lines) == 12
     assert lines[1].startswith("0,")
 
+
+def test_callers_own_the_outputs():
+    # the excursion's values and the decomposition's rows are fresh, so they
+    # survive later calls that rebuild their temporaries in the workspace
+    rng = rng_for(61, 0)
+    exc = sample_excursion(3000, rng)
+    decomp = level_decomposition(exc, 256)
+    assert_not_in_workspace(exc.values, *decomp[:3])
+    assert decomp[0].base.shape == (3, len(decomp[0]))
+    assert decomp[1].base is decomp[0].base and decomp[2].base is decomp[0].base
+    kept = [a.copy() for a in (exc.values, *decomp[:3])]
+    for m in (3000, 5000):  # the second call grows the workspace
+        level_decomposition(sample_excursion(m, rng), 256)
+    for got, want in zip((exc.values, *decomp[:3]), kept):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_workspace_is_per_thread():
+    # two threads interleave sweeps of different sizes; a workspace shared
+    # between them would give one thread the other's crossings
+    toll = TollFunction.power(0.5, -0.5)
+    sizes = {1: (3000, 256), 2: (1200, 1024)}
+
+    def sweeps(seed):
+        m, levels = sizes[seed]
+        rng = rng_for(seed, 5)
+        return [psi_level_sweep(sample_excursion(m, rng), toll, levels).hex() for _ in range(40)]
+
+    want = {seed: sweeps(seed) for seed in sizes}
+    got = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda s=seed: got.update({s: sweeps(s)})) for seed in sizes]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == want

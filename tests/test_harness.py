@@ -1,8 +1,11 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -412,6 +415,43 @@ def test_a_failing_task_leaves_the_pool_usable():
         run_moment(ExperimentConfig(workers=2, tolls=[TollFunction.power(0, -2000)], **kwargs))
     rows = [_rows_hex(run_moment(ExperimentConfig(workers=w, tolls=_TOLLS_1_X, **kwargs))) for w in (2, 1)]
     assert rows[0] == rows[1]
+
+
+_STREAM_FAULTS = """
+import json, resource
+from bgwf import harness
+from bgwf.functionals import TollFunction
+from bgwf.offspring import catalan_model
+
+def faults_per_call(task):
+    for j in range(20):
+        task(j)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for j in range(20, 120):
+        task(j)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 100
+
+tolls = (TollFunction.power(0, 0), TollFunction.power(0, 1), TollFunction.power(1, 0))
+excursion = faults_per_call(harness._ExcursionTask(0.5, 10_000, 1024, 3, tolls))
+tree = faults_per_call(harness._TreeTask(catalan_model(), 10_001, 3, tolls, None))
+print(json.dumps([resource.getrusage(resource.RUSAGE_SELF).ru_minflt, excursion, tree]))
+"""
+
+
+def test_replicate_streams_are_allocation_stable():
+    # Temporaries freed after each replicate let glibc trim the heap, and the
+    # next replicate faults them back in: about 450 minor faults per m = 10^4
+    # excursion when they are fresh arrays.  With the workspace, what is left
+    # is its growth to a new largest crossing count.
+    pytest.importorskip("resource")
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _STREAM_FAULTS], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    total, excursion, tree = json.loads(out.stdout)
+    if not total:
+        pytest.skip("resource counts no minor faults here")
+    assert excursion < 40
+    assert tree < 0.5
 
 
 def test_drop_accounting_marks_invalid():

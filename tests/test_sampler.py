@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
-from conftest import enumerate_tree_law, rng_for
+from conftest import assert_not_in_workspace, enumerate_tree_law, rng_for
 
 from bgwf.harness import exact_walk_law
 from bgwf.offspring import catalan_model, geometric_model, make_stable_family
@@ -250,7 +250,7 @@ def _brute_range_max(values, starts, stops):
 
 
 def _in_new_thread(fn):
-    """fn() run in a thread of its own, whose range_max buffer starts empty."""
+    """fn() run in a thread of its own, whose workspace starts empty."""
     out = []
     thread = threading.Thread(target=lambda: out.append(fn()))
     thread.start()
@@ -262,7 +262,7 @@ def _in_new_thread(fn):
 
 def test_range_max_reuses_its_table():
     # a repeated call builds its table in the bytes the first call left, so
-    # it allocates only its query temporaries, less than the table itself
+    # it allocates only its result and one gather, less than the table itself
     m = 10**4
     rng = np.random.default_rng(3)
     values = rng.integers(0, 2**16, m).astype(np.uint16)
@@ -331,9 +331,29 @@ def test_range_max_result_is_not_the_table():
     stops = starts + 2
     first = range_max(values, starts, stops)
     want = first.copy()
-    assert not np.shares_memory(first, sampler._table_buffer.buf)
+    assert_not_in_workspace(first)
     first[:] = 0
     np.testing.assert_array_equal(range_max(values, starts, stops), want)
+
+
+def test_workspace_views():
+    # one name's views share their bytes, which grow to the largest request;
+    # different names never overlap
+    def views():
+        a = sampler.workspace("test.a", np.float64, 2, 5)
+        a[:] = 1.0
+        small = sampler.workspace("test.a", np.uint8, 3)
+        b = sampler.workspace("test.b", np.int32, 100)
+        b[:] = 7
+        grown = sampler.workspace("test.a", np.float64, 1000)
+        return a, small, b, grown
+
+    a, small, b, grown = _in_new_thread(views)
+    assert (a.shape, a.dtype, small.shape, b.shape, grown.shape) == ((2, 5), np.float64, (3,), (100,), (1000,))
+    assert np.shares_memory(a, small)
+    assert not np.shares_memory(a, b) and not np.shares_memory(grown, b)
+    assert not np.shares_memory(a, grown)  # it outgrew the first buffer
+    assert (a == 1.0).all() and (b == 7).all()
 
 
 @pytest.mark.parametrize("shape", ["vertex", "path", "star", "catalan"])
