@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .functionals import toll_sum
 from .sampler import range_max, workspace
 
 DEFAULT_LEVELS = 1024
@@ -223,20 +224,9 @@ def level_decomposition(exc: Excursion, levels: int = DEFAULT_LEVELS):
 
 
 def sweep_from_decomposition(decomp, toll) -> float:
-    dur, height, r_vals, dr = decomp
-    if not len(dur):
-        return 0.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        f_vals = np.asarray(toll(dur, height), dtype=float)
-    bad = ~np.isfinite(f_vals)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"toll not finite at level r={r_vals[i]:g} on a component of "
-            f"duration {dur[i]:g} and height {height[i]:g}"
-        )
-    # a plain reduction: np.dot would start OpenBLAS's thread pool, which spins
-    return dr * float((dur * f_vals).sum())
+    """dr * sum over the components of duration * f(duration, height): ``toll_sum`` with mu = eta = 1."""
+    dur, height, _, dr = decomp
+    return toll_sum(toll, dur, height, dr, 0.0, f"a level sweep of step dr={dr:g}")
 
 
 def psi_level_sweep(exc: Excursion, toll, levels: int = DEFAULT_LEVELS) -> float:

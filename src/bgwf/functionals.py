@@ -5,10 +5,12 @@ an off-by-one in the height convention silently shifts every beta moment.
 Power tolls use the convention 0^0 = 1 so that beta = 0 reduces exactly to
 mass-only functionals.
 
-Sums are plain numpy reductions.  They are not correctly rounded, but a tree's
-sum depends only on the tree, so reports are still identical for any worker
-count; integer-valued terms below 2^53 in total (sizes, heights and their
-products) are summed exactly.
+One evaluator, ``toll_sum``, reduces every toll sum in factored form: the
+tree sums ``a_measure`` and ``rescaled_theorem1_sum`` and the excursion level
+sweep of ``continuum``.  Its sums are plain numpy reductions.  They are not
+correctly rounded, but a tree's sum depends only on the tree, so reports are
+still identical for any worker count; integer-valued terms below 2^53 in total
+(sizes, heights and their products) are summed exactly.
 """
 
 from __future__ import annotations
@@ -19,17 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .offspring import OffspringModel, normalizer
-from .sampler import AnnotatedTree
+from .sampler import AnnotatedTree, workspace
 
 POWER = "power"
 POWER_LOG = "power-log"
-
-
-def _pow(v: np.ndarray, e: float) -> np.ndarray:
-    if e == 0.0:
-        return np.ones_like(v, dtype=float)  # 0^0 = 1 convention
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.power(v, e, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -56,41 +51,58 @@ class TollFunction:
 
     def __call__(self, x, u) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.kind == POWER:
-            return _pow(x, self.alpha) * _pow(np.asarray(u, dtype=float), self.beta)
-        with np.errstate(divide="ignore"):
-            return np.abs(np.log(x)) * _pow(x, self.alpha)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # pow(v, 0) = 1, 0^0 too
+            if self.kind == POWER:
+                return np.power(x, self.alpha) * np.power(np.asarray(u, dtype=float), self.beta)
+            return np.abs(np.log(x)) * np.power(x, self.alpha)
+
+
+def toll_sum(toll: TollFunction, mass, height, scale: float, log_mu: float, where: str) -> float:
+    """Z = sum_i (mu m_i) f(mu m_i, eta h_i), times any outer weight, in factored form.
+
+    A power toll gives mu^(alpha+1) eta^beta sum m^(alpha+1) h^beta and a
+    power-log toll mu^(alpha+1) sum m^(alpha+1) |log m + log mu|.  The caller
+    states that prefactor, with its outer weight, as ``scale`` and passes
+    ``log_mu`` = log mu.  A zero height exponent takes no factor (0^0 = 1),
+    and the terms live in the ``workspace``.  Raises ValueError, naming
+    ``where``, when the value is not finite.
+    """
+    terms = workspace("toll_sum.terms", np.float64, len(mass))
+    factor = workspace("toll_sum.factor", np.float64, len(mass))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.power(mass, toll.alpha + 1.0, out=terms)
+        if toll.kind == POWER_LOG:
+            np.log(mass, out=factor)
+            factor += log_mu
+            terms *= np.abs(factor, out=factor)
+        elif toll.beta != 0.0:
+            terms *= np.power(height, toll.beta, out=factor)
+    value = scale * float(terms.sum())
+    if not math.isfinite(value):
+        # a term that is not finite makes the sum so; no such term: the sum or the scale overflowed
+        bad = np.flatnonzero(~np.isfinite(terms))
+        at = f", term {bad[0]} of mass {mass[bad[0]]:g} and height {height[bad[0]]:g}" if len(bad) else ""
+        raise ValueError(f"toll {toll.label} not finite at {where}{at}")
+    return value
 
 
 def a_measure(tree: AnnotatedTree, model: OffspringModel, toll: TollFunction) -> float:
-    """(b_n/n^2) sum_w |t_w| f(|t_w|/n, (b_n/n) H(t_w)) over internal vertices."""
+    """(b_n/n^2) sum_w |t_w| f(|t_w|/n, (b_n/n) H(t_w)) over internal vertices:
+    (b_n/n) Z with mu = 1/n and eta = b_n/n, of prefactor b_n^(1+beta)/n^(1+alpha'+beta)."""
     n = tree.n
     b = normalizer(model, n)
     sizes, heights = tree.internal_stats
-    terms = sizes * np.asarray(toll(sizes / n, (b / n) * heights), dtype=float)
-    bad = ~np.isfinite(terms)
-    if bad.any():
-        v = int(np.argmax(bad))
-        raise ValueError(f"toll not finite at vertex with mask-index {v}")
-    return (b / n**2) * float(terms.sum())
+    alpha_prime, beta = toll.alpha + 1.0, toll.beta
+    try:
+        scale = b ** (1.0 + beta) / n ** (1.0 + alpha_prime + beta)
+    except (OverflowError, ZeroDivisionError):
+        scale = math.nan
+    return toll_sum(toll, sizes, heights, scale, -math.log(n), f"n={n}")
 
 
 def rescaled_theorem1_sum(
     tree: AnnotatedTree, model: OffspringModel, alpha_prime: float, beta: float
 ) -> float:
-    """(b_n^(1+beta)/n^(1+alpha'+beta)) sum over internal w of |t_w|^alpha' H(t_w)^beta.
-
-    Algebraically identical to ``a_measure`` with the power toll (alpha'-1, beta).
-    Raises ValueError when the prefactor or the sum leaves the float range.
-    """
-    n = tree.n
-    b = normalizer(model, n)
-    sizes, heights = tree.internal_stats
-    terms = _pow(sizes, alpha_prime) * _pow(heights, beta)
-    try:
-        value = b ** (1.0 + beta) / n ** (1.0 + alpha_prime + beta) * float(terms.sum())
-    except (OverflowError, ZeroDivisionError):
-        value = math.nan
-    if not math.isfinite(value):
-        raise ValueError(f"rescaled sum of toll x^{alpha_prime - 1.0:g}*u^{beta:g} not finite at n={n}")
-    return value
+    """(b_n^(1+beta)/n^(1+alpha'+beta)) sum over internal w of |t_w|^alpha' H(t_w)^beta,
+    Theorem 1's notation for ``a_measure`` with the power toll (alpha'-1, beta)."""
+    return a_measure(tree, model, TollFunction.power(alpha_prime - 1.0, beta))

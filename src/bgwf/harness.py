@@ -27,14 +27,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import theory
-from .continuum import (  # bench/tracing.py wraps these names in this namespace
+# bench/tracing.py wraps these names here; psi_level_sweep and rescaled_theorem1_sum are only for it
+from .continuum import (
     DEFAULT_LEVELS,
     level_decomposition,
     psi_level_sweep,  # noqa: F401
     sample_excursion,
     sweep_from_decomposition,
 )
-from .functionals import POWER, POWER_LOG, TollFunction, a_measure, rescaled_theorem1_sum
+from .functionals import POWER, POWER_LOG, TollFunction, a_measure, rescaled_theorem1_sum  # noqa: F401
 from .offspring import OffspringModel, normalizer, snap_to_support, support_contains
 from .sampler import BudgetExhausted, sample_conditioned
 
@@ -266,9 +267,7 @@ class _TreeTask:
         except BudgetExhausted:
             return None
         b_over_n = normalizer(self.model, self.n) / self.n
-        vals = [rescaled_theorem1_sum(tree, self.model, toll.alpha + 1.0, toll.beta) if toll.kind == POWER
-                else a_measure(tree, self.model, toll) for toll in self.tolls]
-        return vals, b_over_n * tree.height
+        return [a_measure(tree, self.model, toll) for toll in self.tolls], b_over_n * tree.height
 
 
 @dataclass(frozen=True)
@@ -282,13 +281,12 @@ class _ExcursionTask:
     def __call__(self, j: int):
         rng = replicate_rng(self.master_seed, j)
         exc = sample_excursion(self.m_grid, rng)
-        c = math.sqrt(2.0 / self.kappa)  # height rescaling for mechanism kappa*l^2
-        decomp = level_decomposition(exc, self.levels)
-        out = []
-        for toll in self.tolls:
-            wrapped = lambda x, u: toll(x, c * u)
-            out.append(c * sweep_from_decomposition(decomp, wrapped))
-        return out
+        # c * exc codes the tree of mechanism kappa*l^2: its heights, levels and dr scale by c
+        c = math.sqrt(2.0 / self.kappa)
+        dur, height, r_vals, dr = level_decomposition(exc, self.levels)
+        height *= c
+        r_vals *= c
+        return [sweep_from_decomposition((dur, height, r_vals, c * dr), toll) for toll in self.tolls]
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +586,7 @@ def run_height_moments(config: ExperimentConfig) -> McReport:
     checks = []
     sizes = config.sizes
     for p in config.p_list:
-        th = ((2.0 / model.kappa) ** (p / 2.0) * theory.max_excursion_moment(p)
-              if model.gamma == 2.0 else None)
+        th = theory.brownian_height_moment(model.kappa, p) if model.gamma == 2.0 else None
         ests = []
         for n in sizes:
             _, heights, drops = per_n[n]

@@ -11,9 +11,9 @@ moment of the mass-and-height functional with toll x^alpha u^beta is
 
     g(0) * B(alpha + (beta+1)(1 - 1/gamma), 1 - 1/gamma) * E[H^beta],
 
-finite exactly when the integral test of ``phase_margin`` holds, and in the
-Brownian case E[H^beta] is explicit through the completed (xi) form of the
-zeta function, giving
+finite exactly when the integral test of ``phase_margin`` holds.  In the
+Brownian case E[H^beta] = 2 (pi/kappa)^(beta/2) xi(beta), through the
+completed (xi) form of the zeta function (``brownian_height_moment``), giving
 
     (1/sqrt(pi kappa)) (pi/kappa)^(beta/2) xi(beta) B(alpha + (beta+1)/2, 1/2).
 
@@ -100,16 +100,15 @@ def _require_finite(gamma: float, alpha: float, beta: float) -> None:
         )
 
 
+def brownian_height_moment(kappa: float, beta: float) -> float:
+    """E[H^beta] of the Brownian tree of mechanism kappa lambda^2, of height sqrt(2/kappa) max e."""
+    return (2.0 / kappa) ** (beta / 2.0) * max_excursion_moment(beta)
+
+
 def brownian_moment(kappa: float, alpha: float, beta: float) -> float:
-    """First moment of the Brownian-tree functional with toll x^alpha u^beta."""
-    _require_finite(2.0, alpha, beta)
-    return (
-        1.0
-        / math.sqrt(math.pi * kappa)
-        * (math.pi / kappa) ** (beta / 2.0)
-        * riemann_xi(beta)
-        * _beta_fn(alpha + (beta + 1.0) / 2.0, 0.5)
-    )
+    """First moment of the Brownian-tree functional with toll x^alpha u^beta (``stable_moment``)."""
+    _require_finite(2.0, alpha, beta)  # before xi, which overflows far outside the region
+    return stable_moment(2.0, kappa, alpha, beta, brownian_height_moment(kappa, beta))
 
 
 def stable_moment(gamma: float, kappa: float, alpha: float, beta: float, height_moment: float) -> float:

@@ -1,3 +1,4 @@
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +33,19 @@ def enumerate_tree_law(model, n):
 
 # Structural properties of the rescaled tree measure, checked by criterion 6
 # and tests/test_functionals.py.
+
+
+def a_measure_by_definition(tree, model, toll) -> float:
+    """(b_n/n^2) sum_w |t_w| f(|t_w|/n, (b_n/n) H(t_w)) over internal vertices,
+    term by term through ``TollFunction.__call__`` and summed with math.fsum.
+
+    The reference for ``a_measure`` and ``rescaled_theorem1_sum``, which
+    reduce the same sum in factored form.
+    """
+    n = tree.n
+    b = normalizer(model, n)
+    sizes, heights = tree.internal_stats
+    return (b / n**2) * math.fsum(sizes * toll(sizes / n, (b / n) * heights))
 
 
 class GapBound(NamedTuple):

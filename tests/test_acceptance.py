@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from conftest import ACCEPT_SEED, enumerate_tree_law, mass_bound_check, tv_gap_bound_check
+from conftest import (ACCEPT_SEED, a_measure_by_definition, enumerate_tree_law, mass_bound_check,
+                      tv_gap_bound_check)
 
 from bgwf.functionals import TollFunction, a_measure, rescaled_theorem1_sum
 from bgwf.harness import (
@@ -184,10 +185,14 @@ def test_criterion_6_structural_properties():
         for _ in range(20):
             aprime = float(rng.uniform(-1.0, 3.0))
             beta = float(rng.uniform(-2.0, 3.0))
-            lhs = rescaled_theorem1_sum(tree, geo, aprime, beta)
-            rhs = a_measure(tree, geo, TollFunction.power(aprime - 1.0, beta))
-            if lhs != rhs:
-                worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+            # the factored sums against the a-measure's definition, for the
+            # power toll and the power-log toll of the same alpha
+            power_log = TollFunction.power_log(aprime - 1.0)
+            for lhs, rhs in ((rescaled_theorem1_sum(tree, geo, aprime, beta),
+                              a_measure_by_definition(tree, geo, TollFunction.power(aprime - 1.0, beta))),
+                             (a_measure(tree, geo, power_log), a_measure_by_definition(tree, geo, power_log))):
+                if lhs != rhs:
+                    worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
     assert _report("6 (rescaled/a-measure identity)", worst <= 1e-12, f"worst rel {worst:.2e}")
 
 
@@ -207,9 +212,12 @@ def test_criterion_7_special_functions():
         beta = float(rng.uniform(-3.0, 4.0))
         if 2 * alpha + beta + 1 <= 0.05:
             continue
+        # stable_moment at gamma = 2, with E[H^beta] = (2/kappa)^(beta/2) E[max^beta],
+        # against the closed form written out through xi
         hm = (2.0 / kappa) ** (beta / 2.0) * theory.max_excursion_moment(beta)
         lhs = theory.stable_moment(2.0, kappa, alpha, beta, hm)
-        rhs = theory.brownian_moment(kappa, alpha, beta)
+        rhs = (1.0 / math.sqrt(math.pi * kappa) * (math.pi / kappa) ** (beta / 2.0) * theory.riemann_xi(beta)
+               * theory._beta_fn(alpha + (beta + 1.0) / 2.0, 0.5))
         worst_sb = max(worst_sb, abs(lhs / rhs - 1.0))
         count += 1
     ok &= worst_sb <= 1e-10

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import b1_index, mass_bound_check, tv_gap_bound_check
+from conftest import a_measure_by_definition, b1_index, mass_bound_check, tv_gap_bound_check
 
 from bgwf.functionals import TollFunction, a_measure, rescaled_theorem1_sum
 from bgwf.offspring import catalan_model, geometric_model, normalizer
@@ -49,7 +49,8 @@ def test_rescaled_sum_trivial_bound(rng):
 
 
 def test_rescaled_equals_a_measure_identity(rng):
-    # algebraic identity to 1e-12 relative over random trees and exponents
+    # the factored sums equal the a-measure's definition to 1e-12 relative
+    # over random trees and exponents, for power and power-log tolls
     geo = geometric_model()
     for _ in range(100):
         n = int(rng.integers(2, 120))
@@ -57,9 +58,12 @@ def test_rescaled_equals_a_measure_identity(rng):
         for _ in range(20):
             aprime = float(rng.uniform(-1.0, 3.0))
             beta = float(rng.uniform(-2.0, 3.0))
-            lhs = rescaled_theorem1_sum(tree, geo, aprime, beta)
-            rhs = a_measure(tree, geo, TollFunction.power(aprime - 1.0, beta))
-            assert lhs == pytest.approx(rhs, rel=1e-12)
+            power = TollFunction.power(aprime - 1.0, beta)
+            assert rescaled_theorem1_sum(tree, geo, aprime, beta) == pytest.approx(
+                a_measure_by_definition(tree, geo, power), rel=1e-12)
+            power_log = TollFunction.power_log(aprime - 1.0)
+            assert a_measure(tree, geo, power_log) == pytest.approx(
+                a_measure_by_definition(tree, geo, power_log), rel=1e-12)
 
 
 @pytest.mark.parametrize("aprime, beta", [(100.0, 0.0), (95.0, -10.0), (-300.0, 0.0)],

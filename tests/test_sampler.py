@@ -280,18 +280,29 @@ def test_range_max_reuses_its_table():
 
 def test_range_max_tables_are_per_thread():
     # two threads interleave calls of different sizes and dtypes; a table
-    # shared between them would give one thread the other's maxima
-    def work(seed):
+    # shared between them would give one thread the other's maxima.  At these
+    # sizes numpy releases the GIL inside each pass over the table, so the
+    # threads' passes overlap; the answers are worked out beforehand, so the
+    # threads do little else.  A table shared between the threads fails
+    # every run
+    def cases(seed):
         rng = np.random.default_rng(seed)
-        for _ in range(200):
-            m = int(rng.integers(1, 600))
+        out = []
+        for _ in range(50):
+            m = int(rng.integers(2000, 20_000))
             dtype = (np.uint8, np.uint16, np.int64, np.float64)[rng.integers(4)]
             values = rng.standard_normal(m) if dtype is np.float64 else rng.integers(0, 250, m).astype(dtype)
             starts, stops = _windows(rng, m, int(rng.integers(1, 50)))
-            if not np.array_equal(range_max(values, starts, stops), _brute_range_max(values, starts, stops)):
-                failures.append((seed, m, dtype))
+            out.append((values, starts, stops, _brute_range_max(values, starts, stops)))
+        return out
+
+    def work(seed):
+        for values, starts, stops, want in calls[seed] * 6:
+            if not np.array_equal(range_max(values, starts, stops), want):
+                failures.append((seed, len(values), values.dtype))
         finished.append(seed)
 
+    calls = {seed: cases(seed) for seed in (1, 2)}
     failures, finished = [], []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

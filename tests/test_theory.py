@@ -78,7 +78,8 @@ def test_brownian_moment_values():
 
 
 def test_stable_moment_matches_brownian():
-    # E[H^beta] = (2/kappa)^(beta/2) E[(max excursion)^beta] in the Brownian case
+    # E[H^beta] = (2/kappa)^(beta/2) E[(max excursion)^beta] in the Brownian
+    # case, against the closed form written out through xi
     rng = np.random.default_rng(31)
     count = 0
     while count < 50:
@@ -87,9 +88,11 @@ def test_stable_moment_matches_brownian():
         beta = float(rng.uniform(-3.0, 4.0))
         if 2 * alpha + beta + 1 <= 0.05:
             continue
+        closed = (1.0 / math.sqrt(math.pi * kappa) * (math.pi / kappa) ** (beta / 2.0) * riemann_xi(beta)
+                  * _beta_fn(alpha + (beta + 1.0) / 2.0, 0.5))
         hm = (2.0 / kappa) ** (beta / 2.0) * max_excursion_moment(beta)
-        got = stable_moment(2.0, kappa, alpha, beta, hm)
-        assert got == pytest.approx(brownian_moment(kappa, alpha, beta), rel=1e-10)
+        assert stable_moment(2.0, kappa, alpha, beta, hm) == pytest.approx(closed, rel=1e-10)
+        assert brownian_moment(kappa, alpha, beta) == pytest.approx(closed, rel=1e-10)
         count += 1
     # the worked instance: beta = 2, E[H^2] = 4 * (pi^2/6)
     hm = 4.0 * max_excursion_moment(2.0)
