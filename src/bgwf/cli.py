@@ -18,7 +18,7 @@ import sys
 from typing import NamedTuple
 
 from . import harness
-from .continuum import sample_excursion
+from .continuum import DEFAULT_LEVELS, sample_excursion
 from .functionals import TollFunction
 from .offspring import (OffspringError, catalan_model, geometric_model, make_finite_variance,
                         make_stable_family, snap_to_support)
@@ -64,9 +64,9 @@ _OPTIONS = {
     "beta": _Option(finite, 0.0, "height exponent of the toll"),
     "toll": _Option(str, None, "powerlog:<alpha> for the log family"),
     "p": _Option(finite, [-1.0, 1.0, 2.0], "orders of the height moments"),
-    "kappa": _Option(finite, 0.5, "stable constant of the Brownian tree"),
-    "m": _Option(int, 10_000, "excursion grid points"),
-    "levels": _Option(int, 1024, "sweep levels"),
+    "kappa": _Option(finite, harness.ExperimentConfig.kappa, "stable constant of the Brownian tree"),
+    "m": _Option(int, harness.ExperimentConfig.m_grid, "excursion grid points"),
+    "levels": _Option(int, DEFAULT_LEVELS, "sweep levels"),
     "alpha": _Option(finite, 0.0, "mass exponent of the toll x^alpha u^beta"),
     "dump_excursion": _Option(str, None, "CSV path for replicate 0's excursion"),
 }

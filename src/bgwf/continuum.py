@@ -60,28 +60,17 @@ def sample_excursion(m: int, rng: np.random.Generator) -> Excursion:
     The Vervaat rotation of the bridge at the argmin yields a nonnegative
     path with zero endpoints; draws with a non-unique minimum or nonpositive
     interior values (probability zero events up to float ties) are resampled.
-    The walk and the bridge are built in the ``workspace``, so the values are
-    the only array the call keeps.
+    The values are a fresh array.
     """
     if m < 2:
         raise ValueError("need m >= 2 grid steps")
-    walk = workspace("sample_excursion.walk", np.float64, m)
-    cyc = workspace("sample_excursion.bridge", np.float64, m)
-    values = np.empty(m + 1)
     while True:
-        rng.standard_normal(out=walk)
-        walk *= math.sqrt(1.0 / m)
-        np.cumsum(walk, out=walk)
+        walk = np.cumsum(rng.standard_normal(m) * math.sqrt(1.0 / m))
         # cyc[k] = bridge[k - 1] = walk[k - 1] - k / m * walk[-1], and cyc[0] = 0
-        cyc[0] = 0.0
-        np.divide(np.arange(1, m), m, out=cyc[1:])
-        cyc[1:] *= walk[-1]
-        np.subtract(walk[:-1], cyc[1:], out=cyc[1:])
+        cyc = np.concatenate(([0.0], walk[:-1] - np.arange(1, m) / m * walk[-1]))
         i_min = int(np.argmin(cyc))
-        values[: m - i_min] = cyc[i_min:]
-        values[m - i_min : m] = cyc[:i_min]
-        values[:m] -= cyc[i_min]
-        values[m] = 0.0
+        # rotated to start at the minimum, and closed there: values[m] = cyc[i_min] - cyc[i_min]
+        values = np.concatenate((cyc[i_min:], cyc[: i_min + 1])) - cyc[i_min]
         if values[1:m].min() > 0.0:
             break
     values.setflags(write=False)
@@ -96,23 +85,10 @@ def _level_counts(v: np.ndarray, dr: float, levels: int) -> np.ndarray:
     compares true, as v <= max < (levels + 1/2) dr; at c = 0 the second
     does only for v <= -dr/2, and the count is put back to 0 there.
     """
-    est = workspace("level_counts.est", np.float64, len(v))
-    np.divide(v, dr, out=est)
-    est -= 0.5
-    np.ceil(est, out=est)
-    np.clip(est, 0, levels, out=est)
-    c = workspace("level_counts", np.intp, len(v))
-    np.copyto(c, est, casting="unsafe")
-    np.copyto(est, c)  # est now holds level heights
-    est += 0.5
-    est *= dr
-    np.add(c, 1, out=c, where=est < v)  # level c is below v after all
-    np.copyto(est, c)
-    est -= 0.5
-    est *= dr
-    np.subtract(c, 1, out=c, where=est >= v)  # level c - 1 is not below v
-    np.maximum(c, 0, out=c)
-    return c
+    c = np.clip(np.ceil(v / dr - 0.5), 0, levels).astype(np.intp)
+    c += (c + 0.5) * dr < v  # level c is below v after all
+    c -= (c - 0.5) * dr >= v  # level c - 1 is not below v
+    return np.maximum(c, 0, out=c)
 
 
 def _crossings(c: np.ndarray, m: int, dtype) -> tuple:
@@ -121,35 +97,21 @@ def _crossings(c: np.ndarray, m: int, dtype) -> tuple:
     Edge e crosses the levels min(c[e], c[e+1]) .. max - 1, so its keys
     level * m + e start at min * m + e and step by m: the keys in edge order
     are a cumulative sum of those steps and of the jumps between edges.
-    The levels have the key dtype and the edges are intp.
+    The levels have the key dtype and the edges are intp.  The rows returned
+    live in the ``workspace``, as they stay in use for the rest of the
+    decomposition.
     """
-    counts = workspace("crossings.counts", np.intp, m)
-    np.subtract(c[1:], c[:-1], out=counts)
-    np.abs(counts, out=counts)
+    counts = np.abs(np.diff(c))
     edges = np.flatnonzero(counts)
-    # take's indices are in range by construction; mode "clip" only spares
-    # the buffered copy of out that mode "raise" makes
-    n_e = workspace("crossings.n_e", np.intp, len(edges))
-    np.take(counts, edges, out=n_e, mode="clip")
-    first = workspace("crossings.first", np.intp, len(edges))
-    np.take(c, edges, out=first, mode="clip")
-    jump = workspace("crossings.jump", np.intp, len(edges))
-    np.take(c[1:], edges, out=jump, mode="clip")  # c[e + 1] until the jumps replace it
-    np.minimum(first, jump, out=first)
-    first *= m
-    first += edges
+    n_e = counts[edges]
+    first = np.minimum(c[edges], c[edges + 1]) * m + edges
     # from the previous edge's last key
+    jump = np.empty_like(first)
     jump[0] = first[0]
-    np.subtract(n_e[:-1], 1, out=jump[1:])
-    jump[1:] *= m
-    jump[1:] += first[:-1]
-    np.subtract(first[1:], jump[1:], out=jump[1:])
-    keys = workspace("crossings.keys", dtype, int(n_e.sum()))
-    keys.fill(m)
-    np.cumsum(n_e, out=first)
-    first -= n_e
-    keys[first] = jump
-    np.cumsum(keys, dtype=dtype, out=keys)
+    jump[1:] = first[1:] - ((n_e[:-1] - 1) * m + first[:-1])
+    keys = np.full(int(n_e.sum()), m, dtype=dtype)
+    keys[np.cumsum(n_e) - n_e] = jump
+    keys = np.cumsum(keys, dtype=dtype)
     keys.sort()
     if len(keys) % 2:
         raise ValueError("level crossings do not pair: the path is not an excursion")
@@ -162,25 +124,13 @@ def _crossings(c: np.ndarray, m: int, dtype) -> tuple:
     return level, e_up, e_dn
 
 
-def _durations(v: np.ndarray, r_vals: np.ndarray, e_up: np.ndarray, e_dn: np.ndarray,
-               dur: np.ndarray) -> None:
-    """Grid time from the up to the down crossing, each linearly interpolated, into dur."""
-    slope = workspace("durations.slope", np.float64, len(v) - 1)
-    np.subtract(v[1:], v[:-1], out=slope)
-    s_up, s_dn, t_up = workspace("durations", np.float64, 3, len(r_vals))
-    np.take(slope, e_up, out=s_up, mode="clip")
-    np.take(slope, e_dn, out=s_dn, mode="clip")
+def _durations(v: np.ndarray, r_vals: np.ndarray, e_up: np.ndarray, e_dn: np.ndarray) -> np.ndarray:
+    """Grid time from the up to the down crossing, each linearly interpolated."""
+    slope = np.diff(v)
+    s_up, s_dn = slope[e_up], slope[e_dn]
     if (s_up <= 0.0).any() or (s_dn >= 0.0).any():
         raise ValueError("level crossings do not alternate up/down: the path is not an excursion")
-    np.take(v, e_up, out=t_up, mode="clip")
-    np.subtract(r_vals, t_up, out=t_up)
-    t_up /= s_up
-    t_up += e_up
-    np.take(v, e_dn, out=dur, mode="clip")
-    np.subtract(r_vals, dur, out=dur)
-    dur /= s_dn
-    dur += e_dn
-    dur -= t_up
+    return ((r_vals - v[e_dn]) / s_dn + e_dn) - ((r_vals - v[e_up]) / s_up + e_up)
 
 
 def level_decomposition(exc: Excursion, levels: int = DEFAULT_LEVELS):
@@ -195,8 +145,9 @@ def level_decomposition(exc: Excursion, levels: int = DEFAULT_LEVELS):
     order the crossings by (level, time); they alternate up/down and pair
     into components.  The keys are int32 while levels * m < 2^31 and int64
     otherwise.  Component peaks are range maxima of v (``range_max``).  Work
-    is O(m log m + C) with C the total crossing count (at most m per level),
-    and the temporaries live in the ``workspace``.
+    is O(m log m + C) with C the total crossing count (at most m per level).
+    Only the components' levels and edges, and ``range_max``'s buffers, live
+    in the ``workspace``; the other temporaries are plain numpy arrays.
     Returns (durations, heights, level_values, dr), the first three the rows
     of one fresh (3, C) array; raises ValueError if the crossings do not
     pair, i.e. the path does not start and end below the lowest level.
@@ -212,11 +163,8 @@ def level_decomposition(exc: Excursion, levels: int = DEFAULT_LEVELS):
     key_dtype = np.int32 if levels * m < 2**31 else np.int64
     level, e_up, e_dn = _crossings(_level_counts(v, dr, levels), m, key_dtype)
     dur, height, r_vals = np.empty((3, len(level)))
-    np.copyto(r_vals, level)
-    r_vals += 0.5
-    r_vals *= dr
-    _durations(v, r_vals, e_up, e_dn, dur)
-    dur *= exc.dt
+    np.multiply(level + 0.5, dr, out=r_vals)
+    np.multiply(_durations(v, r_vals, e_up, e_dn), exc.dt, out=dur)
     # the grid points above the level run from the up edge's right end to the
     # down edge's left end
     np.subtract(range_max(v[1:], e_up, e_dn), r_vals, out=height)

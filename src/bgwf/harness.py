@@ -281,11 +281,11 @@ class _ExcursionTask:
     def __call__(self, j: int):
         rng = replicate_rng(self.master_seed, j)
         exc = sample_excursion(self.m_grid, rng)
-        # c * exc codes the tree of mechanism kappa*l^2: its heights, levels and dr scale by c
+        # c * exc codes the tree of mechanism kappa*l^2: its heights and dr scale by c, and
+        # so would its levels, which the sweep does not read
         c = math.sqrt(2.0 / self.kappa)
         dur, height, r_vals, dr = level_decomposition(exc, self.levels)
         height *= c
-        r_vals *= c
         return [sweep_from_decomposition((dur, height, r_vals, c * dr), toll) for toll in self.tolls]
 
 

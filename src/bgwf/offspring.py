@@ -191,9 +191,8 @@ def _stable_survival(c: float, gamma: float, k: int) -> float:
 
 
 def _stable_tail_mean(c: float, gamma: float, k: int) -> float:
-    """sum_{j>k} j pmf(j) = c gamma Gamma(k+1-gamma) / (Gamma(2-gamma) Gamma(k)), k >= 1."""
-    if gamma == 2.0:
-        return 0.0
+    """sum_{j>k} j pmf(j) = c gamma Gamma(k+1-gamma) / (Gamma(2-gamma) Gamma(k)),
+    for k >= 1 and gamma < 2."""
     return c * gamma * math.exp(math.lgamma(k + 1.0 - gamma) - math.lgamma(float(k)) - math.lgamma(2.0 - gamma))
 
 

@@ -11,7 +11,9 @@ from scipy.stats import chisquare
 
 from conftest import assert_not_in_workspace, enumerate_tree_law, rng_for
 
-from bgwf.harness import exact_walk_law
+from bgwf.continuum import Excursion, level_decomposition
+from bgwf.functionals import TollFunction
+from bgwf.harness import _ExcursionTask, exact_walk_law
 from bgwf.offspring import catalan_model, geometric_model, make_stable_family
 from bgwf import sampler
 from bgwf.sampler import (
@@ -365,6 +367,31 @@ def test_workspace_views():
     assert not np.shares_memory(a, b) and not np.shares_memory(grown, b)
     assert not np.shares_memory(a, grown)  # it outgrew the first buffer
     assert (a == 1.0).all() and (b == 7).all()
+
+
+def test_workspace_stays_near_a_stream_of_excursions():
+    # after m = 10^4 excursions the workspace holds about 3.8 MiB: the range-max
+    # table, the crossing rows and the toll terms.  One decomposition with 2^20
+    # components grows it past 50 MiB, and later excursions shrink it back
+    def held():
+        return sum(buf.nbytes for buf in vars(sampler._workspace).values())
+
+    def stream():
+        task = _ExcursionTask(0.5, 10_000, 1024, 3, (TollFunction.power(0, 1),))
+        for j in range(20):
+            task(j)
+        before = held()
+        half = np.linspace(0.0, 0.5, 2**11 + 1)
+        level_decomposition(Excursion(values=np.concatenate([half, half[::-1][1:]])), 2**20)
+        peak = held()
+        for j in range(20, 40):
+            task(j)
+        return before, peak, held()
+
+    before, peak, after = _in_new_thread(stream)
+    assert before < 5 * 2**20
+    assert peak > 40 * 2**20
+    assert after < 8 * 2**20
 
 
 @pytest.mark.parametrize("shape", ["vertex", "path", "star", "catalan"])
