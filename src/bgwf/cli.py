@@ -243,12 +243,21 @@ def _experiment(mode: str, opts: dict, **fields) -> harness.ExperimentConfig:
                                     workers=opts["workers"], **fields)
 
 
+def _write(path: str | None, text: str) -> None:
+    """text to the file at path, or to stdout when no path is given: every output of the CLI."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _dispatch(command: str, opts: dict) -> int:
     if command == "sample":
         model = _model_from(opts)
         tree = sample_conditioned(model, snap_to_support(model, opts["n"]),
                                   harness.replicate_rng(opts["seed"], 0))
-        tree.to_csv(opts["out"] or sys.stdout)
+        _write(opts["out"], tree.to_csv())
         return 0
     if command == "llt":
         report = harness.run_llt(_model_from(opts), opts["n"])
@@ -276,14 +285,12 @@ def _dispatch(command: str, opts: dict) -> int:
             harness.MODE_CONTINUUM, opts, kappa=opts["kappa"], m_grid=opts["m"], levels=opts["levels"],
             tolls=[TollFunction.power(opts["alpha"], opts["beta"])]))
         if opts["dump_excursion"]:
-            sample_excursion(opts["m"], harness.replicate_rng(opts["seed"], 0)).to_csv(opts["dump_excursion"])
+            exc = sample_excursion(opts["m"], harness.replicate_rng(opts["seed"], 0))
+            _write(opts["dump_excursion"], exc.to_csv())
 
-    if opts["out"]:
-        report.to_csv(opts["out"])
-    else:
-        sys.stdout.write(report.to_csv())
+    _write(opts["out"], report.to_csv())
     if opts["json_out"]:
-        report.to_json(opts["json_out"])
+        _write(opts["json_out"], report.to_json())
     for name, ok in report.checks:
         print(f"# {'PASS' if ok else 'FAIL'} {name}", file=sys.stderr)
     return report.exit_code()

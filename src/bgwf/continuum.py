@@ -13,7 +13,6 @@ duration * f(duration, height), with a midpoint rule over the levels.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -43,15 +42,9 @@ class Excursion:
     def max(self) -> float:
         return float(self.values.max())
 
-    def to_csv(self, path_or_buf) -> None:
-        buf = path_or_buf if hasattr(path_or_buf, "write") else io.StringIO()
-        buf.write("t,value\n")
+    def to_csv(self) -> str:
         dt = self.dt
-        for k, v in enumerate(self.values):
-            buf.write(f"{k * dt:.12g},{v:.12g}\n")
-        if buf is not path_or_buf:
-            with open(path_or_buf, "w") as fh:
-                fh.write(buf.getvalue())
+        return "t,value\n" + "".join(f"{k * dt:.12g},{v:.12g}\n" for k, v in enumerate(self.values))
 
 
 def sample_excursion(m: int, rng: np.random.Generator) -> Excursion:
@@ -146,7 +139,7 @@ def level_decomposition(exc: Excursion, levels: int = DEFAULT_LEVELS):
     into components.  The keys are int32 while levels * m < 2^31 and int64
     otherwise.  Component peaks are range maxima of v (``range_max``).  Work
     is O(m log m + C) with C the total crossing count (at most m per level).
-    Only the components' levels and edges, and ``range_max``'s buffers, live
+    Only the components' levels and edges, and ``range_max``'s table, live
     in the ``workspace``; the other temporaries are plain numpy arrays.
     Returns (durations, heights, level_values, dr), the first three the rows
     of one fresh (3, C) array; raises ValueError if the crossings do not
@@ -171,12 +164,12 @@ def level_decomposition(exc: Excursion, levels: int = DEFAULT_LEVELS):
     return dur, height, r_vals, dr
 
 
-def sweep_from_decomposition(decomp, toll) -> float:
+def sweep_from_decomposition(dur: np.ndarray, height: np.ndarray, dr: float, toll) -> float:
     """dr * sum over the components of duration * f(duration, height): ``toll_sum`` with mu = eta = 1."""
-    dur, height, _, dr = decomp
     return toll_sum(toll, dur, height, dr, 0.0, f"a level sweep of step dr={dr:g}")
 
 
 def psi_level_sweep(exc: Excursion, toll, levels: int = DEFAULT_LEVELS) -> float:
     """Midpoint-rule value of Z_f over `levels` levels in (0, max)."""
-    return sweep_from_decomposition(level_decomposition(exc, levels), toll)
+    dur, height, _, dr = level_decomposition(exc, levels)
+    return sweep_from_decomposition(dur, height, dr, toll)

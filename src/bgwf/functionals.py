@@ -7,10 +7,11 @@ mass-only functionals.
 
 One evaluator, ``toll_sum``, reduces every toll sum in factored form: the
 tree sums ``a_measure`` and ``rescaled_theorem1_sum`` and the excursion level
-sweep of ``continuum``.  Its sums are plain numpy reductions.  They are not
-correctly rounded, but a tree's sum depends only on the tree, so reports are
-still identical for any worker count; integer-valued terms below 2^53 in total
-(sizes, heights and their products) are summed exactly.
+sweep of ``continuum``.  Its terms are plain numpy arrays and its sums plain
+numpy reductions.  The sums are not correctly rounded, but a tree's sum
+depends only on the tree, so reports are still identical for any worker
+count; integer-valued terms below 2^53 in total (sizes, heights and their
+products) are summed exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .offspring import OffspringModel, normalizer
-from .sampler import AnnotatedTree, workspace
+from .sampler import AnnotatedTree
 
 POWER = "power"
 POWER_LOG = "power-log"
@@ -63,20 +64,16 @@ def toll_sum(toll: TollFunction, mass, height, scale: float, log_mu: float, wher
     A power toll gives mu^(alpha+1) eta^beta sum m^(alpha+1) h^beta and a
     power-log toll mu^(alpha+1) sum m^(alpha+1) |log m + log mu|.  The caller
     states that prefactor, with its outer weight, as ``scale`` and passes
-    ``log_mu`` = log mu.  A zero height exponent takes no factor (0^0 = 1),
-    and the terms live in the ``workspace``.  Raises ValueError, naming
-    ``where``, when the value is not finite.
+    ``log_mu`` = log mu.  A zero height exponent takes no factor (0^0 = 1).
+    The terms are plain numpy arrays.  Raises ValueError, naming ``where``,
+    when the value is not finite.
     """
-    terms = workspace("toll_sum.terms", np.float64, len(mass))
-    factor = workspace("toll_sum.factor", np.float64, len(mass))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.power(mass, toll.alpha + 1.0, out=terms)
+        terms = np.power(mass, toll.alpha + 1.0)
         if toll.kind == POWER_LOG:
-            np.log(mass, out=factor)
-            factor += log_mu
-            terms *= np.abs(factor, out=factor)
+            terms *= np.abs(np.log(mass) + log_mu)
         elif toll.beta != 0.0:
-            terms *= np.power(height, toll.beta, out=factor)
+            terms *= np.power(height, toll.beta)
     value = scale * float(terms.sum())
     if not math.isfinite(value):
         # a term that is not finite makes the sum so; no such term: the sum or the scale overflowed

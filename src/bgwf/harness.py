@@ -17,7 +17,6 @@ Exit codes: 0 all checks pass, 2 some verdict failed, 3 invalid report.
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import math
@@ -163,26 +162,12 @@ class McReport:
             return 2
         return 0
 
-    def to_csv(self, path_or_buf=None) -> str:
-        buf = io.StringIO()
-        buf.write(CSV_COLUMNS + "\n")
-        for r in self.rows:
-            buf.write(",".join(_fmt(v) for v in r.as_dict().values()) + "\n")
-        text = buf.getvalue()
-        if path_or_buf is not None:
-            if hasattr(path_or_buf, "write"):
-                path_or_buf.write(text)
-            else:
-                with open(path_or_buf, "w") as fh:
-                    fh.write(text)
-        return text
+    def to_csv(self) -> str:
+        return CSV_COLUMNS + "\n" + "".join(
+            ",".join(_fmt(v) for v in r.as_dict().values()) + "\n" for r in self.rows)
 
-    def to_json(self, path=None) -> str:
-        text = json.dumps([r.as_dict() for r in self.rows], indent=1)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+    def to_json(self) -> str:
+        return json.dumps([r.as_dict() for r in self.rows], indent=1)
 
 
 def _fmt(v) -> str:
@@ -281,12 +266,11 @@ class _ExcursionTask:
     def __call__(self, j: int):
         rng = replicate_rng(self.master_seed, j)
         exc = sample_excursion(self.m_grid, rng)
-        # c * exc codes the tree of mechanism kappa*l^2: its heights and dr scale by c, and
-        # so would its levels, which the sweep does not read
+        # c * exc codes the tree of mechanism kappa*l^2: its heights and dr scale by c
         c = math.sqrt(2.0 / self.kappa)
-        dur, height, r_vals, dr = level_decomposition(exc, self.levels)
+        dur, height, _, dr = level_decomposition(exc, self.levels)
         height *= c
-        return [sweep_from_decomposition((dur, height, r_vals, c * dr), toll) for toll in self.tolls]
+        return [sweep_from_decomposition(dur, height, c * dr, toll) for toll in self.tolls]
 
 
 # ---------------------------------------------------------------------------

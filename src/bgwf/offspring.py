@@ -69,7 +69,8 @@ class OffspringModel:
     ``table_values``/``table_probs``/``table_cdf`` hold the tabulated head of
     the law (the whole law for finite-variance models).  ``tail_prob`` is the
     mass strictly above the table; for the stable-power family it is sampled
-    exactly through the closed-form survival function.
+    exactly through the closed-form survival function, and ``kappa`` is the
+    constant c of its generating function.
     """
 
     family: str
@@ -77,12 +78,10 @@ class OffspringModel:
     kappa: float
     span: int
     sigma2: float  # math.inf for stable-power with gamma < 2
-    c: float | None
     table_values: np.ndarray
     table_probs: np.ndarray
     table_cdf: np.ndarray
     tail_prob: float
-    truncation_K: int
     split: DegreeSplit = field(repr=False)
     reachable: np.ndarray = field(repr=False)
 
@@ -94,7 +93,7 @@ class OffspringModel:
         scalar = k.shape == ()
         flat_k = np.atleast_1d(k)
         if self.family == STABLE_POWER:
-            probs = _stable_pmf(self.c, self.gamma, int(flat_k.max(initial=0)) + 1)
+            probs = _stable_pmf(self.kappa, self.gamma, int(flat_k.max(initial=0)) + 1)
             out = np.where(flat_k < 0, 0.0, probs[np.maximum(flat_k, 0)])
         else:
             out = np.zeros(flat_k.shape, dtype=float)
@@ -110,7 +109,7 @@ class OffspringModel:
         if k < 0:
             return 1.0
         if self.family == STABLE_POWER:
-            return _stable_survival(self.c, self.gamma, k)
+            return _stable_survival(self.kappa, self.gamma, k)
         pos = np.searchsorted(self.table_values, k, side="right")
         return 0.0 if pos == 0 else float(max(0.0, 1.0 - self.table_cdf[pos - 1]))
 
@@ -118,7 +117,7 @@ class OffspringModel:
         """Tabulated mean plus the closed-form tail correction (equals 1)."""
         head = math.fsum(self.table_values * self.table_probs)
         if self.family == STABLE_POWER and self.gamma < 2.0:
-            head += _stable_tail_mean(self.c, self.gamma, self.truncation_K - 1)
+            head += _stable_tail_mean(self.kappa, self.gamma, len(self.table_values) - 1)
         return head
 
     def total_mass(self) -> float:
@@ -140,7 +139,7 @@ class OffspringModel:
 
     def _tail_inverse(self, s: float) -> int:
         # smallest k with survival(k) < s; doubling then integer bisection
-        lo = self.truncation_K - 1  # survival(lo) = tail_prob >= s
+        lo = len(self.table_values) - 1  # survival(lo) = tail_prob >= s
         hi = max(2 * lo, lo + 2)
         while self.survival(hi) >= s:
             lo, hi = hi, 2 * hi
@@ -251,7 +250,7 @@ def _degree_split(values: np.ndarray, probs: np.ndarray, cdf: np.ndarray) -> Deg
                        tail_q=tail_q)
 
 
-def _finish_model(family, gamma, kappa, sigma2, c, values, probs, tail_prob, trunc_k) -> OffspringModel:
+def _finish_model(family, gamma, kappa, sigma2, values, probs, tail_prob) -> OffspringModel:
     values = np.ascontiguousarray(values, dtype=np.int64)
     probs = np.ascontiguousarray(probs, dtype=float)
     cdf = np.cumsum(probs)
@@ -265,12 +264,10 @@ def _finish_model(family, gamma, kappa, sigma2, c, values, probs, tail_prob, tru
         kappa=float(kappa),
         span=_span_of(values, probs),
         sigma2=sigma2,
-        c=c,
         table_values=values,
         table_probs=probs,
         table_cdf=cdf,
         tail_prob=float(tail_prob),
-        truncation_K=trunc_k,
         split=_degree_split(values, probs, cdf),
         reachable=_reachability(values, probs),
     )
@@ -292,13 +289,13 @@ def make_stable_family(gamma: float, c: float) -> OffspringModel:
         values = np.array([0, 1, 2])
         probs = np.array([c, max(0.0, 1.0 - 2.0 * c), c])
         sigma2 = 2.0 * c
-        return _finish_model(STABLE_POWER, gamma, c, sigma2, c, values, probs, 0.0, 3)
+        return _finish_model(STABLE_POWER, gamma, c, sigma2, values, probs, 0.0)
     k_tail = (c / (math.exp(_log_abs_gamma_1m(gamma)) * _TABLE_TAIL)) ** (1.0 / gamma)
     trunc_k = int(min(_TABLE_CAP, max(1024, 1.2 * k_tail)))
     values = np.arange(trunc_k)
     probs = _stable_pmf(c, gamma, trunc_k)
     tail = _stable_survival(c, gamma, trunc_k - 1)
-    model = _finish_model(STABLE_POWER, gamma, c, math.inf, c, values, probs, tail, trunc_k)
+    model = _finish_model(STABLE_POWER, gamma, c, math.inf, values, probs, tail)
     drift = abs(model.total_mass() - 1.0)
     if drift > CRITICALITY_TOL * 100:
         raise OffspringError(f"stable pmf mass off by {drift:.3g}")
@@ -336,7 +333,7 @@ def make_finite_variance(pmf: dict) -> OffspringModel:
     sigma2 = second - 1.0
     if sigma2 <= 0.0:
         raise OffspringError("offspring variance must be positive")
-    return _finish_model(FINITE_VARIANCE, 2.0, 0.5, sigma2, None, values, p, 0.0, len(values))
+    return _finish_model(FINITE_VARIANCE, 2.0, 0.5, sigma2, values, p, 0.0)
 
 
 def catalan_model() -> OffspringModel:

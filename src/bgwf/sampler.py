@@ -17,7 +17,6 @@ the Lukasiewicz path.
 
 from __future__ import annotations
 
-import io
 import math
 import threading
 from bisect import bisect_right
@@ -110,18 +109,13 @@ class AnnotatedTree:
         if np.count_nonzero((self.degree > 0) != (self.subtree_size > 1)):
             raise ValueError("internal-vertex characterizations disagree")
 
-    def to_csv(self, path_or_buf) -> None:
+    def to_csv(self) -> str:
         """One line per vertex: index,parent,degree,depth,subtree_size,subtree_height."""
-        buf = path_or_buf if hasattr(path_or_buf, "write") else io.StringIO()
-        buf.write("index,parent,degree,depth,subtree_size,subtree_height\n")
-        for i in range(self.n):
-            buf.write(
-                f"{i},{self.parent[i]},{self.degree[i]},{self.depth[i]},"
-                f"{self.subtree_size[i]},{self.subtree_height[i]}\n"
-            )
-        if buf is not path_or_buf:
-            with open(path_or_buf, "w") as fh:
-                fh.write(buf.getvalue())
+        return "index,parent,degree,depth,subtree_size,subtree_height\n" + "".join(
+            f"{i},{self.parent[i]},{self.degree[i]},{self.depth[i]},"
+            f"{self.subtree_size[i]},{self.subtree_height[i]}\n"
+            for i in range(self.n)
+        )
 
 
 # The default attempt budget gives up fewer than this share of the trees.
@@ -288,15 +282,16 @@ TREE_NUMPY_MIN = 120
 # The scratch memory of the array code: one byte buffer per name and thread,
 # grown to the largest request under that name and reused after that.  A
 # stream of equal-size calls then allocates no temporaries, which glibc would
-# trim off the heap after each call and fault back in on the next one.  Only
-# the buffers that measurably pay for this live here: range_max's table and
-# queries, a level decomposition's crossing rows and toll_sum's terms.  In a
-# stream of m = 10^4 excursions at 1024 levels these 8 names take about 12
-# minor faults per excursion (11-29 with the heap's layout), against about 24
-# with every temporary of the excursion path here (19 names, 6.04 MiB against
-# 3.80) and 128-163 with the crossing rows fresh as well.  A buffer over 4
-# times the request and over 1 MiB is replaced by one of the request's size,
-# so one large call pins nothing for the life of the thread.
+# trim off the heap after each call and fault back in on the next one.  Three
+# names live here: range_max.table (280 KB for a Catalan n = 10^4 tree, 1.1 MB
+# for an m = 10^4 excursion) and a level decomposition's crossing rows,
+# crossings.levels and crossings.edges (0.4 and 0.8 MB at m = 10^4 and 1024
+# levels).  A stream of such excursions takes about 23 minor faults per
+# excursion, against 15 with range_max's queries and toll_sum's terms here as
+# well (8 names), a difference the benchmark does not see, and 128-163 with
+# the crossing rows fresh too.  A buffer over 4 times the request and over
+# 1 MiB is replaced by one of the request's size, so one large call pins
+# nothing for the life of the thread.
 _workspace = threading.local()
 
 
@@ -323,13 +318,13 @@ def range_max(values: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.n
     Row k of the table holds the maxima of all windows of length 2^k, so a
     query is the larger of two overlapping windows, each read with one
     gather: O(m log m) to build, O(1) per query.  The table has the dtype of
-    ``values``, so a narrow dtype keeps it small.  The table and the query
-    temporaries live in the ``workspace``: 280 KB of table for the uint16
-    depths of a tree at n = 10^4, 1.1 MB for the float64 values of an
-    excursion at m = 10^4, about 40 MB after a Catalan n = 10^6 tree.  The
-    result is a fresh array.
+    ``values``, so a narrow dtype keeps it small.  The table lives in the
+    ``workspace``: 280 KB for the uint16 depths of a tree at n = 10^4, 1.1 MB
+    for the float64 values of an excursion at m = 10^4, about 40 MB after a
+    Catalan n = 10^6 tree.  The query temporaries are plain numpy arrays, and
+    the result is a fresh array.
     """
-    m, q = len(values), len(starts)
+    m = len(values)
     table = workspace("range_max.table", values.dtype, m.bit_length(), m)
     table[0] = values
     for k in range(1, len(table)):
@@ -338,23 +333,15 @@ def range_max(values: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.n
         table[k, -half:] = table[k - 1, -half:]
     # floor(log2(t - s)) is the float exponent of t - s, less one; float32
     # holds every length below 2^24 exactly
-    length = workspace("range_max.length", np.float32 if m < 1 << 24 else np.float64, q)
-    np.subtract(stops, starts, out=length)
-    k = workspace("range_max.k", np.int32, q)
-    np.frexp(length, out=(length, k))
-    k -= 1
-    pos = workspace("range_max.pos", np.intp, q)
-    np.copyto(pos, k)
-    pos *= m  # offset of row k in the flat table
-    pos += starts
+    k = np.frexp((stops - starts).astype(np.float32 if m < 1 << 24 else np.float64))[1] - 1
+    row = k.astype(np.intp) * m  # offset of row k in the flat table, in intp so no m overflows it
     flat = table.ravel()
-    top = flat[pos]
-    pos -= starts
-    pos += stops
-    np.left_shift(1, k, out=k)
-    pos -= k  # the window of length 2^k that ends at t
-    np.maximum(top, flat[pos], out=top)
-    return top
+    top = flat[row + starts]  # the window of length 2^k that starts at s
+    # and the one that ends at t, its index shifted in place: one more q-sized
+    # intp array would take the call's temporaries past the table's size
+    row += stops
+    row -= 1 << k
+    return np.maximum(top, flat[row], out=top)
 
 
 def _annotate_loop(deg: list) -> tuple[list, list, list, list]:

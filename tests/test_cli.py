@@ -7,6 +7,7 @@ import pytest
 
 from bgwf import harness
 from bgwf.cli import build_parser, main
+from bgwf.continuum import sample_excursion
 
 
 def run_cli(argv, capsys):
@@ -260,6 +261,27 @@ def test_csv_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     assert out_path.read_text().startswith("mode,family")
     assert json.loads(json_path.read_text())[0]["mode"] == "llt"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--family", "geometric", "--n", "151", "--seed", "5"],
+    ["moment", "--family", "catalan", "--n", "11", "101", "--R", "4", "--seed", "5"],
+    ["continuum", "--m", "300", "--levels", "64", "--R", "3", "--seed", "5"],
+])
+def test_out_file_holds_what_stdout_prints(argv, tmp_path, capsys):
+    code, printed, _ = run_cli(argv, capsys)
+    out_path = tmp_path / "out.csv"
+    code_to_file, silent, _ = run_cli(argv + ["--out", str(out_path)], capsys)
+    assert code == code_to_file == 0 and silent == ""
+    assert out_path.read_bytes() == printed.encode()
+
+
+def test_dumped_excursion_is_replicate_zeros(tmp_path, capsys):
+    dump = tmp_path / "exc.csv"
+    code, _, _ = run_cli(["continuum", "--m", "300", "--R", "2", "--seed", "5",
+                          "--dump-excursion", str(dump)], capsys)
+    assert code == 0
+    assert dump.read_text() == sample_excursion(300, harness.replicate_rng(5, 0)).to_csv()
 
 
 def test_power_log_row_and_warning(capsys):

@@ -277,7 +277,7 @@ def test_sweep_toll_blowup_reported():
 def test_excursion_csv_dump(tmp_path):
     exc = triangular(10)
     out = tmp_path / "exc.csv"
-    exc.to_csv(str(out))
+    out.write_text(exc.to_csv())
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,value"
     assert len(lines) == 12

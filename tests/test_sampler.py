@@ -13,7 +13,7 @@ from conftest import assert_not_in_workspace, enumerate_tree_law, rng_for
 
 from bgwf.continuum import Excursion, level_decomposition
 from bgwf.functionals import TollFunction
-from bgwf.harness import _ExcursionTask, exact_walk_law
+from bgwf.harness import _ExcursionTask, _TreeTask, exact_walk_law
 from bgwf.offspring import catalan_model, geometric_model, make_stable_family
 from bgwf import sampler
 from bgwf.sampler import (
@@ -369,10 +369,28 @@ def test_workspace_views():
     assert (a == 1.0).all() and (b == 7).all()
 
 
+def test_workspace_holds_three_buffers():
+    # the range-max table and the crossing rows; every other temporary of the
+    # tree and excursion paths is a plain numpy array
+    def stream():
+        tolls = (TollFunction.power(0, 0), TollFunction.power(0, 1), TollFunction.power_log(0.5))
+        tree_task = _TreeTask(catalan_model(), 10_001, 3, tolls, None)
+        excursion_task = _ExcursionTask(0.5, 10_000, 1024, 3, tolls)
+        for j in range(20):
+            tree_task(j)
+        for j in range(20):
+            excursion_task(j)
+        return sorted(vars(sampler._workspace))
+
+    assert _in_new_thread(stream) == ["crossings.edges", "crossings.levels", "range_max.table"]
+
+
 def test_workspace_stays_near_a_stream_of_excursions():
-    # after m = 10^4 excursions the workspace holds about 3.8 MiB: the range-max
-    # table, the crossing rows and the toll terms.  One decomposition with 2^20
-    # components grows it past 50 MiB, and later excursions shrink it back
+    # after m = 10^4 excursions the workspace holds about 2.2 MiB: the range-max
+    # table and the crossing rows.  One decomposition with 2^20 components
+    # grows it past 32 MiB, the size of their crossing rows alone (two int64
+    # levels and two intp edges, 32 bytes a component), and later excursions
+    # shrink it back
     def held():
         return sum(buf.nbytes for buf in vars(sampler._workspace).values())
 
@@ -390,7 +408,7 @@ def test_workspace_stays_near_a_stream_of_excursions():
 
     before, peak, after = _in_new_thread(stream)
     assert before < 5 * 2**20
-    assert peak > 40 * 2**20
+    assert peak > 32 * 2**20
     assert after < 8 * 2**20
 
 
@@ -611,7 +629,7 @@ def test_degree_counts_match_exact_finite_n_means():
 def test_tree_csv_dump(tmp_path):
     tree = build_and_annotate(np.array([2, 0, 0]))
     out = tmp_path / "tree.csv"
-    tree.to_csv(str(out))
+    out.write_text(tree.to_csv())
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "index,parent,degree,depth,subtree_size,subtree_height"
     assert lines[1] == "0,-1,2,0,3,1"
